@@ -478,7 +478,7 @@ BENCHMARK(BM_SimCounterScale)
 
 // --- barriers ---------------------------------------------------------------
 
-FaaBarrier g_faa_barrier(4);
+BasicBarrier<> g_faa_barrier(4);
 
 void BM_FaaBarrier(benchmark::State& state) {
   for (auto _ : state) {
@@ -500,7 +500,7 @@ BENCHMARK(BM_StdBarrier)->Threads(4)->UseRealTime();
 
 // --- readers-writers ----------------------------------------------------------
 
-FaaRwLock g_faa_rw;
+BasicRwLock<> g_faa_rw;
 long g_rw_value = 0;
 
 void BM_FaaRwLockReadMostly(benchmark::State& state) {
@@ -537,7 +537,7 @@ BENCHMARK(BM_SharedMutexReadMostly)->Threads(4)->UseRealTime();
 
 // --- semaphore ----------------------------------------------------------------
 
-FaaSemaphore g_sem(2);
+BasicSemaphore<> g_sem(2);
 
 void BM_FaaSemaphore(benchmark::State& state) {
   for (auto _ : state) {

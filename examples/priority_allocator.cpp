@@ -19,8 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/any_rmw.hpp"
 #include "core/fetch_theta.hpp"
-#include "runtime/fetch_and_op.hpp"
+#include "runtime/rmw_backend.hpp"
 #include "sim/machine.hpp"
 #include "verify/memory_checker.hpp"
 #include "workload/workloads.hpp"
@@ -70,7 +71,8 @@ int main() {
               check.ok ? "PASS" : check.error.c_str());
 
   std::printf("== real threads (CAS-loop fetch_and_min) ==\n");
-  std::atomic<Word> cell{core::MinOp::identity_element};
+  const runtime::AtomicBackend atomics;
+  runtime::AtomicBackend::Cell cell(atomics, core::MinOp::identity_element);
   const unsigned nt =
       std::max(2u, std::min(8u, std::thread::hardware_concurrency()));
   std::vector<Word> tdl(nt);
@@ -81,7 +83,8 @@ int main() {
     std::vector<std::jthread> ts;
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&, t] {
-        const Word old = runtime::fetch_and_min(cell, tdl[t]);
+        const Word old =
+            atomics.fetch_rmw(cell, core::AnyRmw(FetchMin(tdl[t])));
         if (old > tdl[t]) winners.fetch_add(1);
       });
     }
@@ -89,7 +92,7 @@ int main() {
   Word best2 = core::MinOp::identity_element;
   for (auto d : tdl) best2 = std::min(best2, d);
   std::printf("%u threads; cell = %llu (true minimum %llu); %u lowered it\n",
-              nt, static_cast<unsigned long long>(cell.load()),
+              nt, static_cast<unsigned long long>(atomics.load(cell)),
               static_cast<unsigned long long>(best2), winners.load());
-  return (m.value_at(2) == best && cell.load() == best2 && check.ok) ? 0 : 1;
+  return (m.value_at(2) == best && atomics.load(cell) == best2 && check.ok) ? 0 : 1;
 }

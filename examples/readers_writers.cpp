@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
               secs);
 
   {
-    FaaRwLock lock;
+    BasicRwLock<> lock;
     const auto r = race(
         secs,
         [&](auto body) {

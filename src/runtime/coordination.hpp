@@ -22,12 +22,9 @@
 #include <thread>
 
 #include "analysis/instrument.hpp"
-#include "runtime/combining_concept.hpp"
-#include "runtime/fetch_and_op.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
-#include "util/bits.hpp"
 
 namespace krs::runtime {
 
@@ -41,8 +38,10 @@ namespace krs::runtime {
 ///
 /// Phase-numbered rather than sense-reversing so threads carry NO per-
 /// thread state: any `parties` threads (including freshly spawned ones)
-/// can use the barrier at any time — sense-reversing barriers go wrong
-/// when new threads join with a stale sense.
+/// can use the barrier at any time. Waiters wait while the phase word
+/// still holds the phase they arrived in; the word is 32 bits (phases
+/// compare for equality, so wraparound is harmless), which lets a parking
+/// policy such as FutexWait sleep on it directly.
 template <RmwBackend Backend = AtomicBackend,
           typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
@@ -57,28 +56,22 @@ class BasicBarrier {
     // Publish this thread's pre-barrier history before counting in.
     Instrument::release(this);
     const Word ticket = backend_.fetch_add(count_, 1);
-    const Word my_phase = ticket / parties_;
+    const auto my_phase = static_cast<std::uint32_t>(ticket / parties_);
     if (ticket % parties_ == parties_ - 1) {
       phase_.store(my_phase + 1, std::memory_order_release);
+      if constexpr (Policy::kParks) Policy::notify_all(phase_);
     } else {
-      // Blind rounds: the phase word is 64-bit (monotonic, never reused),
-      // not addressable by a parking policy's 32-bit wait word.
       Policy pol;
-      while (phase_.load(std::memory_order_acquire) <= my_phase) pol.pause();
+      while (phase_.load(std::memory_order_acquire) == my_phase) {
+        pol.wait_while_equal(phase_, my_phase);
+      }
     }
     // Absorb every party's pre-barrier history on the way out.
     Instrument::acquire(this);
   }
 
-  /// Backwards-compatible sense-style call; the flag is ignored but
-  /// flipped so loops written for sense-reversing barriers keep working.
-  void arrive_and_wait(bool& sense) {
-    arrive_and_wait();
-    sense = !sense;
-  }
-
-  /// Number of completed phases.
-  [[nodiscard]] Word phase() const noexcept {
+  /// Number of completed phases, modulo 2^32.
+  [[nodiscard]] std::uint32_t phase() const noexcept {
     return phase_.load(std::memory_order_acquire);
   }
 
@@ -86,63 +79,7 @@ class BasicBarrier {
   Backend backend_;
   unsigned parties_;
   typename Backend::Cell count_;
-  std::atomic<Word> phase_{0};
-};
-
-/// The historical name: the barrier on hardware fetch-and-add.
-template <typename Instrument = analysis::DefaultInstrument>
-using BasicFaaBarrier = BasicBarrier<AtomicBackend, Instrument>;
-
-using FaaBarrier = BasicFaaBarrier<>;
-
-/// The centralized barrier with its hot spot served by a software
-/// combining tree instead of a single fetch-and-add word — the §6 story
-/// end to end: arrivals are tickets from `Tree::fetch_and_op`, so P
-/// simultaneous arrivals cost O(log P) root operations instead of P.
-/// Templated over the CombiningCounter concept, so the blocking and the
-/// lock-free tree are drop-in interchangeable.
-///
-/// Callers pass their slot id (< parties, one thread per slot), which the
-/// tree uses to place them on a leaf. BasicBarrier<CombiningBackend>
-/// subsumes this (same ticket algorithm, slot derived from
-/// thread_ordinal()); this class remains for callers that want explicit
-/// slot placement or the blocking tree.
-template <CombiningCounter Tree,
-          typename Instrument = analysis::DefaultInstrument,
-          WaitPolicy Policy = SpinYieldWait>
-class BasicCombiningBarrier {
- public:
-  explicit BasicCombiningBarrier(unsigned parties)
-      : parties_(parties),
-        tree_(static_cast<unsigned>(util::ceil_pow2(
-            parties < 2 ? 2 : parties))) {
-    KRS_EXPECTS(parties >= 1);
-  }
-
-  void arrive_and_wait(unsigned slot) {
-    // Publish this thread's pre-barrier history before counting in.
-    Instrument::release(this);
-    const auto ticket =
-        static_cast<std::uint64_t>(tree_.fetch_and_op(slot, 1));
-    const std::uint64_t my_phase = ticket / parties_;
-    if (ticket % parties_ == parties_ - 1) {
-      phase_.store(my_phase + 1, std::memory_order_release);
-    } else {
-      Policy pol;
-      while (phase_.load(std::memory_order_acquire) <= my_phase) pol.pause();
-    }
-    // Absorb every party's pre-barrier history on the way out.
-    Instrument::acquire(this);
-  }
-
-  [[nodiscard]] std::uint64_t phase() const noexcept {
-    return phase_.load(std::memory_order_acquire);
-  }
-
- private:
-  unsigned parties_;
-  Tree tree_;
-  std::atomic<std::uint64_t> phase_{0};
+  std::atomic<std::uint32_t> phase_{0};
 };
 
 /// Readers–writers coordination in the busy-waiting fetch-and-add style of
@@ -200,11 +137,6 @@ class BasicRwLock {
   typename Backend::Cell writer_;
 };
 
-template <typename Instrument = analysis::DefaultInstrument>
-using BasicFaaRwLock = BasicRwLock<AtomicBackend, Instrument>;
-
-using FaaRwLock = BasicFaaRwLock<>;
-
 /// Counting semaphore with busy-waiting P/V on a fetch-and-add counter —
 /// Dijkstra's semaphore implemented the replace-add way: P provisionally
 /// decrements and retreats if the result went negative. The counter lives
@@ -259,10 +191,5 @@ class BasicSemaphore {
   Backend backend_;
   typename Backend::Cell value_;
 };
-
-template <typename Instrument = analysis::DefaultInstrument>
-using BasicFaaSemaphore = BasicSemaphore<AtomicBackend, Instrument>;
-
-using FaaSemaphore = BasicFaaSemaphore<>;
 
 }  // namespace krs::runtime

@@ -40,11 +40,14 @@ class BasicTreeBarrier {
     for (auto& n : nodes_) n = std::make_unique<Node>();
   }
 
-  void arrive_and_wait(unsigned slot, bool& sense) {
+  /// The barrier owns its phase state: callers pass only their slot.
+  void arrive_and_wait(unsigned slot) {
     KRS_EXPECTS(slot < parties_);
     // Arrival: publish everything this thread did before the barrier.
     Instrument::release(this);
-    const bool my_sense = sense;
+    // The phase this arrival belongs to. It cannot advance before this
+    // arrival has climbed, so reading it first is exact.
+    const std::uint32_t my_phase = phase_.load(std::memory_order_acquire);
     // Ascend: the second arrival at each node continues upward; the first
     // waits for the release wave.
     unsigned node = (static_cast<unsigned>(nodes_.size()) + slot) / 2;
@@ -62,24 +65,20 @@ class BasicTreeBarrier {
       nodes_[node]->arrived.store(false, std::memory_order_relaxed);
       node /= 2;
     }
-    const std::uint32_t target = my_sense ? 1u : 0u;
     if (node < 1 || climbing) {
       // Reached past the root: this thread triggers the release.
-      release_.store(target, std::memory_order_release);
-      if constexpr (Policy::kParks) Policy::notify_all(release_);
+      phase_.store(my_phase + 1, std::memory_order_release);
+      if constexpr (Policy::kParks) Policy::notify_all(phase_);
     } else {
       Policy pol;
-      while (release_.load(std::memory_order_acquire) != target) {
-        // The release word only ever holds 0 or 1, so "not yet my sense"
-        // is exactly "still the previous phase's sense" — addressable.
-        pol.wait_while_equal(release_, target ^ 1u);
+      while (phase_.load(std::memory_order_acquire) == my_phase) {
+        pol.wait_while_equal(phase_, my_phase);
       }
     }
     // Departure: absorb every party's pre-barrier history. All arrivals
     // released above before any waiter passes the release wave, so the
     // joined clock covers the whole phase.
     Instrument::acquire(this);
-    sense = !sense;
   }
 
  private:
@@ -105,9 +104,9 @@ class BasicTreeBarrier {
 
   unsigned parties_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Sense word, 0/1 alternating per phase. u32 (not bool) so a parking
-  // wait policy can futex-wait on it directly.
-  std::atomic<std::uint32_t> release_{0};
+  // Completed phases, modulo 2^32. Waiters compare it for equality, and
+  // it is u32 so a parking wait policy can futex-wait on it directly.
+  std::atomic<std::uint32_t> phase_{0};
 };
 
 using TreeBarrier = BasicTreeBarrier<>;

@@ -89,19 +89,18 @@ class ParallelEngine {
           static_cast<std::uint32_t>(std::uint64_t{shards} * w / workers);
       const auto hi =
           static_cast<std::uint32_t>(std::uint64_t{shards} * (w + 1) / workers);
-      bool sense = true;
       for (;;) {
         for (unsigned ph = 0; ph < phases; ++ph) {
           for (std::uint32_t sh = lo; sh < hi; ++sh) {
             m.engine_subphase(ph, sh);
           }
-          barrier.arrive_and_wait(w, sense);
+          barrier.arrive_and_wait(w);
         }
         if (w == 0) {
           m.engine_end_cycle();
           stop = m.drained() || m.now() >= max_cycles;
         }
-        barrier.arrive_and_wait(w, sense);
+        barrier.arrive_and_wait(w);
         if (stop) return;
       }
     };

@@ -179,16 +179,14 @@ TEST(AnalysisRuntime, TreeBarrierSeparatedPhasesAreClean) {
   ForkHandle f0;
   std::thread t0([&] {
     f0.adopt();
-    bool sense = false;
     x.store(41, std::memory_order_relaxed);
     shadow_write(&x, KRS_SITE);
-    barrier.arrive_and_wait(0, sense);
+    barrier.arrive_and_wait(0);
   });
   ForkHandle f1;
   std::thread t1([&] {
     f1.adopt();
-    bool sense = false;
-    barrier.arrive_and_wait(1, sense);
+    barrier.arrive_and_wait(1);
     shadow_read(&x, KRS_SITE);
     x.fetch_add(1, std::memory_order_relaxed);
     shadow_write(&x, KRS_SITE);
@@ -205,7 +203,7 @@ TEST(AnalysisRuntime, TreeBarrierSeparatedPhasesAreClean) {
 TEST(AnalysisRuntime, FaaBarrierSeparatedPhasesAreClean) {
   RaceDetector det;
   ScopedDetector guard(det);
-  BasicFaaBarrier<GlobalInstrument> barrier(2);
+  BasicBarrier<AtomicBackend, GlobalInstrument> barrier(2);
   std::atomic<int> x{0};
 
   ForkHandle f0;
@@ -293,7 +291,7 @@ TEST(AnalysisRuntime, ParallelQueueHandoffIsClean) {
 TEST(AnalysisRuntime, SemaphoreAsMutexIsClean) {
   RaceDetector det;
   ScopedDetector guard(det);
-  BasicFaaSemaphore<GlobalInstrument> sem(1);
+  BasicSemaphore<AtomicBackend, GlobalInstrument> sem(1);
   std::atomic<int> counter{0};
 
   const auto worker = [&](const ForkHandle& f) {
@@ -321,7 +319,7 @@ TEST(AnalysisRuntime, SemaphoreAsMutexIsClean) {
 TEST(AnalysisRuntime, RwLockReadersThenWriterIsClean) {
   RaceDetector det;
   ScopedDetector guard(det);
-  BasicFaaRwLock<GlobalInstrument> rw;
+  BasicRwLock<AtomicBackend, GlobalInstrument> rw;
   std::atomic<int> x{5};
 
   ForkHandle fr;

@@ -137,10 +137,6 @@ static_assert(sizeof(BasicRwLock<AtomicBackend, NoInstrument>) ==
 static_assert(sizeof(BasicSemaphore<AtomicBackend, NoInstrument>) ==
               sizeof(BasicSemaphore<AtomicBackend, GlobalInstrument>));
 
-// The mapping tree still satisfies the counter concept through its
-// operand adapter.
-static_assert(CombiningCounter<LockFreeCombiningTree<long>>);
-
 // --- single-thread backend semantics ----------------------------------------
 
 // Run the same scripted op sequence through any backend and collect every
@@ -252,6 +248,24 @@ TEST(MappingTree, FetchOrCombinesDistinctBits) {
     // No prior may contain a bit no thread writes.
     for (const Word p : priors[t]) EXPECT_EQ(p & ~all, 0u);
   }
+}
+
+TEST(MappingTree, FetchMaxFoldsEveryOperand) {
+  // fetch-and-max is idempotent and order-insensitive: through every
+  // combining pattern the root ends at the largest operand any slot
+  // deposited.
+  MappingCombiningTree<AnyRmw> tree(4, 0);
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < 4; ++t) {
+      ts.emplace_back([&, t] {
+        for (Word i = 1; i <= 300; ++i) {
+          tree.fetch_rmw(t, AnyRmw(krs::core::FetchMax(t * 1000 + i)));
+        }
+      });
+    }
+  }
+  EXPECT_EQ(tree.read(), 3300u);
 }
 
 TEST(MappingTree, SwapChainConservesValues) {

@@ -1,22 +1,24 @@
-// The lock-free combining tree (runtime/lock_free_combining_tree.hpp):
-// the same serializability invariants the blocking tree is held to
-// (distinct tickets, conserved sums, per-thread monotonicity) at 2/4/8
-// threads, the CombiningCounter concept contract shared with the blocking
-// tree, the instrumented happens-before edges, and a deterministic
-// race_explorer model of the protocol's deposit/distribute handshake.
+// The lock-free combining tree (runtime/lock_free_combining_tree.hpp)
+// used as a fetch-and-θ counter with explicit slots, i.e.
+// MappingCombiningTree<core::AnyRmw>: the serializability invariants
+// (distinct tickets, conserved sums, per-thread monotonicity, a serial
+// chain for a non-commutative family) at 2/4/8 threads, the barrier on
+// the same tree through CombiningBackend, the instrumented happens-before
+// edges, and a deterministic race_explorer model of the protocol's
+// deposit/distribute handshake.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "analysis/instrument.hpp"
 #include "analysis/race_detector.hpp"
-#include "runtime/combining_concept.hpp"
-#include "runtime/combining_tree.hpp"
+#include "core/any_rmw.hpp"
+#include "runtime/combining_backend.hpp"
 #include "runtime/coordination.hpp"
 #include "runtime/lock_free_combining_tree.hpp"
 #include "verify/race_explorer.hpp"
@@ -24,69 +26,70 @@
 namespace {
 
 using namespace krs::runtime;
+using krs::core::AnyRmw;
+using krs::core::FetchAdd;
+using krs::core::LssOp;
 
-// Both trees satisfy the shared concept; either can serve every templated
-// consumer (combining barrier, benches, examples).
-static_assert(CombiningCounter<LockFreeCombiningTree<long>>);
-static_assert(CombiningCounter<BlockingCombiningTree<long>>);
+template <typename Instrument = krs::analysis::DefaultInstrument>
+using Counter = MappingCombiningTree<AnyRmw, Instrument>;
 
 // The instrumentation policy must add no per-object state.
-static_assert(
-    sizeof(LockFreeCombiningTree<long, std::plus<long>,
-                                 krs::analysis::NoInstrument>) ==
-    sizeof(LockFreeCombiningTree<long, std::plus<long>,
-                                 krs::analysis::GlobalInstrument>));
+static_assert(sizeof(Counter<krs::analysis::NoInstrument>) ==
+              sizeof(Counter<krs::analysis::GlobalInstrument>));
+
+Word add(Counter<>& tree, unsigned slot, Word v) {
+  return tree.fetch_rmw(slot, AnyRmw(FetchAdd(v)));
+}
 
 TEST(LockFreeCombiningTree, SingleThreadSequence) {
-  LockFreeCombiningTree<long> tree(4, 100);
-  EXPECT_EQ(tree.fetch_and_op(0, 5), 100);
-  EXPECT_EQ(tree.fetch_and_op(1, 7), 105);
-  EXPECT_EQ(tree.fetch_and_op(3, 1), 112);
-  EXPECT_EQ(tree.read(), 113);
-  EXPECT_EQ(tree.read_unsynchronized(), 113);
+  Counter<> tree(4, 100);
+  EXPECT_EQ(add(tree, 0, 5), 100u);
+  EXPECT_EQ(add(tree, 1, 7), 105u);
+  EXPECT_EQ(add(tree, 3, 1), 112u);
+  EXPECT_EQ(tree.read(), 113u);
   EXPECT_EQ(tree.width(), 4u);
 }
 
 TEST(LockFreeCombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
   for (const unsigned nt : {2u, 4u, 8u}) {
-    LockFreeCombiningTree<long> tree(8, 0);
+    Counter<> tree(8, 0);
     constexpr unsigned kPer = 300;
-    std::vector<std::vector<long>> got(nt);
+    std::vector<std::vector<Word>> got(nt);
     {
       std::vector<std::jthread> ts;
       for (unsigned slot = 0; slot < nt; ++slot) {
         ts.emplace_back([&, slot] {
           for (unsigned i = 0; i < kPer; ++i)
-            got[slot].push_back(tree.fetch_and_op(slot, 1));
+            got[slot].push_back(add(tree, slot, 1));
         });
       }
     }
-    std::set<long> all;
+    std::set<Word> all;
     for (const auto& v : got) {
       // Per-thread tickets strictly increase (M2.3 at the tree level).
       EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
       all.insert(v.begin(), v.end());
     }
     EXPECT_EQ(all.size(), static_cast<std::size_t>(nt) * kPer);
-    EXPECT_EQ(*all.begin(), 0);
-    EXPECT_EQ(*all.rbegin(), static_cast<long>(nt * kPer) - 1);
-    EXPECT_EQ(tree.read_unsynchronized(), static_cast<long>(nt * kPer));
+    EXPECT_EQ(*all.begin(), 0u);
+    EXPECT_EQ(*all.rbegin(), Word{nt} * kPer - 1);
+    EXPECT_EQ(tree.read(), Word{nt} * kPer);
   }
 }
 
 TEST(LockFreeCombiningTree, ArbitraryAddendsConserveSum) {
   for (const unsigned nt : {2u, 4u, 8u}) {
-    LockFreeCombiningTree<long> tree(8, 0);
+    Counter<> tree(8, 0);
     constexpr unsigned kPer = 200;
-    std::atomic<long> expected{0};
+    std::atomic<Word> expected{0};
     {
       std::vector<std::jthread> ts;
       for (unsigned slot = 0; slot < nt; ++slot) {
         ts.emplace_back([&, slot] {
-          long local = 0;
+          Word local = 0;
           for (unsigned i = 0; i < kPer; ++i) {
-            const long v = static_cast<long>((slot * kPer + i) % 17 + 1);
-            tree.fetch_and_op(slot, v);
+            const Word v = (slot * kPer + i) % 17 + 1;
+            add(tree, slot, v);
             local += v;
           }
           expected.fetch_add(local);
@@ -99,98 +102,115 @@ TEST(LockFreeCombiningTree, ArbitraryAddendsConserveSum) {
 
 TEST(LockFreeCombiningTree, TwoThreadsPerLeafShareCorrectly) {
   // Slots 0 and 1 share the root leaf — the most combining-prone shape.
-  LockFreeCombiningTree<long> tree(2, 0);
+  Counter<> tree(2, 0);
   constexpr unsigned kPer = 500;
   {
     std::jthread a([&] {
-      for (unsigned i = 0; i < kPer; ++i) tree.fetch_and_op(0, 1);
+      for (unsigned i = 0; i < kPer; ++i) add(tree, 0, 1);
     });
     std::jthread b([&] {
-      for (unsigned i = 0; i < kPer; ++i) tree.fetch_and_op(1, 1);
+      for (unsigned i = 0; i < kPer; ++i) add(tree, 1, 1);
     });
   }
-  EXPECT_EQ(tree.read(), 2 * static_cast<long>(kPer));
+  EXPECT_EQ(tree.read(), 2 * Word{kPer});
 }
 
 TEST(LockFreeCombiningTree, ReadSnapshotsWhileContended) {
   // read() must return monotonically non-decreasing snapshots while eight
-  // incrementers are in flight (it locks only the root word, never a node).
-  LockFreeCombiningTree<long> tree(8, 0);
+  // incrementers are in flight (it is one acquire load of the root word,
+  // never a node).
+  Counter<> tree(8, 0);
   constexpr unsigned kPer = 400;
   std::atomic<bool> torn{false};
   {
     std::vector<std::jthread> ts;
     for (unsigned slot = 0; slot < 8; ++slot) {
       ts.emplace_back([&, slot] {
-        for (unsigned i = 0; i < kPer; ++i) tree.fetch_and_op(slot, 1);
+        for (unsigned i = 0; i < kPer; ++i) add(tree, slot, 1);
       });
     }
     ts.emplace_back([&] {
-      long last = 0;
+      Word last = 0;
       for (unsigned i = 0; i < 500; ++i) {
-        const long v = tree.read();
+        const Word v = tree.read();
         if (v < last) torn = true;
         last = v;
       }
     });
   }
   EXPECT_FALSE(torn.load());
-  EXPECT_EQ(tree.read_unsynchronized(), 8L * kPer);
+  EXPECT_EQ(tree.read(), 8 * Word{kPer});
 }
 
 TEST(LockFreeCombiningTree, NonCommutativeOpKeepsSerialOrderPerNode) {
-  // f(x) = x·3 + addend is associative over function composition but not
-  // commutative in its effects; the tree must still serialize: the final
-  // value equals SOME serial order of all ops, and with addend 0 and
-  // multiplier 1 encoded per-op we can at least assert conservation of
-  // op count via a plus-tree cross-check. Here: max-tree — idempotent,
-  // order-insensitive result, exercises a non-plus Op through every phase.
-  struct MaxOp {
-    long operator()(long a, long b) const { return a > b ? a : b; }
-  };
-  LockFreeCombiningTree<long, MaxOp> tree(4, 0);
+  // swap is not commutative: the final value and every reply depend on
+  // the order the tree serialized the ops in. Each swap's reply is the
+  // value it replaced, so the replies must link the initial value through
+  // every written value to the final one as ONE chain — some serial order
+  // — and that chain must run each thread's own writes in program order.
+  constexpr unsigned kThreads = 4;
+  constexpr Word kPer = 300;
+  constexpr Word kInitial = 0;
+  Counter<> tree(kThreads, kInitial);
+  std::vector<std::vector<Word>> replies(kThreads);
   {
     std::vector<std::jthread> ts;
-    for (unsigned slot = 0; slot < 4; ++slot) {
+    for (unsigned slot = 0; slot < kThreads; ++slot) {
       ts.emplace_back([&, slot] {
-        for (unsigned i = 1; i <= 300; ++i) {
-          tree.fetch_and_op(slot, static_cast<long>(slot * 1000 + i));
+        for (Word i = 1; i <= kPer; ++i) {
+          replies[slot].push_back(
+              tree.fetch_rmw(slot, AnyRmw(LssOp::swap(slot * 1000 + i))));
         }
       });
     }
   }
-  EXPECT_EQ(tree.read(), 3300);  // max over every deposited operand
+  std::map<Word, Word> next;  // replaced value → the value that replaced it
+  for (unsigned slot = 0; slot < kThreads; ++slot) {
+    for (Word i = 1; i <= kPer; ++i) {
+      const bool fresh =
+          next.emplace(replies[slot][i - 1], slot * 1000 + i).second;
+      EXPECT_TRUE(fresh) << "two swaps replaced the same value";
+    }
+  }
+  std::vector<Word> last_seen(kThreads, 0);
+  Word cur = kInitial;
+  std::size_t links = 0;
+  for (auto it = next.find(cur); it != next.end(); it = next.find(cur)) {
+    cur = it->second;
+    const auto slot = static_cast<unsigned>(cur / 1000);
+    EXPECT_GT(cur % 1000, last_seen[slot]) << "thread " << slot
+                                           << " reordered";
+    last_seen[slot] = cur % 1000;
+    ++links;
+  }
+  EXPECT_EQ(links, kThreads * kPer);
+  EXPECT_EQ(cur, tree.read());
 }
 
-// --- the combining-counter barrier over either tree --------------------------
+// --- the barrier on the combining tree ----------------------------------------
 
-template <typename Tree>
-void run_barrier_phases(unsigned nt) {
-  BasicCombiningBarrier<Tree> barrier(nt);
+TEST(CombiningBarrier, PhasesAlignedOverLockFreeTree) {
+  // BasicBarrier<CombiningBackend>: every arrival's ticket is a fetch_add
+  // through the lock-free tree, slots derived from thread_ordinal().
+  constexpr unsigned kThreads = 4;
+  BasicBarrier<CombiningBackend> barrier(kThreads, CombiningBackend(kThreads));
   constexpr int kPhases = 100;
   std::vector<int> counters(kPhases, 0);
   std::atomic<bool> torn{false};
   {
     std::vector<std::jthread> ts;
-    for (unsigned t = 0; t < nt; ++t) {
-      ts.emplace_back([&, t] {
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&] {
         for (int ph = 0; ph < kPhases; ++ph) {
           __atomic_fetch_add(&counters[ph], 1, __ATOMIC_RELAXED);
-          barrier.arrive_and_wait(t);
-          if (counters[ph] != static_cast<int>(nt)) torn = true;
+          barrier.arrive_and_wait();
+          if (counters[ph] != static_cast<int>(kThreads)) torn = true;
         }
       });
     }
   }
   EXPECT_FALSE(torn.load());
-}
-
-TEST(CombiningBarrier, PhasesAlignedOverLockFreeTree) {
-  run_barrier_phases<LockFreeCombiningTree<long>>(4);
-}
-
-TEST(CombiningBarrier, PhasesAlignedOverBlockingTree) {
-  run_barrier_phases<BlockingCombiningTree<long>>(4);
+  EXPECT_EQ(barrier.phase(), static_cast<std::uint32_t>(kPhases));
 }
 
 // --- instrumented happens-before edges ---------------------------------------
@@ -205,7 +225,7 @@ TEST(LockFreeCombiningTreeAnalysis, TemporallySeparatedOpsAreOrdered) {
   // real-time separation without telling the detector anything.
   krs::analysis::RaceDetector det;
   krs::analysis::ScopedDetector guard(det);
-  LockFreeCombiningTree<long, std::plus<long>, GlobalInstrument> tree(4, 0);
+  Counter<GlobalInstrument> tree(4, 0);
   std::atomic<int> payload{0};
   std::atomic<bool> done{false};
 
@@ -215,13 +235,13 @@ TEST(LockFreeCombiningTreeAnalysis, TemporallySeparatedOpsAreOrdered) {
     f0.adopt();
     payload.store(7, std::memory_order_relaxed);
     krs::analysis::shadow_write(&payload, KRS_SITE);
-    tree.fetch_and_op(0, 1);  // exit releases t0's history into the tree
+    tree.fetch_rmw(0, AnyRmw(FetchAdd(1)));  // exit releases t0's history
     done.store(true, std::memory_order_release);
   });
   std::thread t1([&] {
     f1.adopt();
     while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
-    tree.fetch_and_op(1, 1);  // entry acquires the tree's history
+    tree.fetch_rmw(1, AnyRmw(FetchAdd(1)));  // entry acquires the history
     krs::analysis::shadow_read(&payload, KRS_SITE);
   });
   t0.join();
@@ -229,7 +249,7 @@ TEST(LockFreeCombiningTreeAnalysis, TemporallySeparatedOpsAreOrdered) {
   t1.join();
   f1.join();
 
-  EXPECT_EQ(tree.read_unsynchronized(), 2);
+  EXPECT_EQ(tree.read(), 2u);
   EXPECT_TRUE(det.clean()) << det.races()[0].to_string();
 }
 

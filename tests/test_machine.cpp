@@ -7,6 +7,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "core/any_rmw.hpp"
@@ -54,11 +55,18 @@ TEST(Machine, SingleRequestRoundTrip) {
 
 // --- the hot-spot fetch-and-add experiment --------------------------------
 
+// gtest names each case by printing the parameter byte by byte, so every
+// byte must be set: `reserved` fills what would otherwise be padding
+// holding whatever the stack last held, and the names stay stable.
 struct HotSpotCase {
+  HotSpotCase(unsigned l, net::CombinePolicy p, std::uint64_t n)
+      : log2_procs(l), policy(p), per_proc(n) {}
   unsigned log2_procs;
   net::CombinePolicy policy;
+  std::uint8_t reserved[3] = {};
   std::uint64_t per_proc;
 };
+static_assert(std::has_unique_object_representations_v<HotSpotCase>);
 
 class MachineHotSpot : public ::testing::TestWithParam<HotSpotCase> {};
 

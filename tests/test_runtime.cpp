@@ -6,15 +6,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "core/any_rmw.hpp"
 #include "runtime/backoff.hpp"
-#include "runtime/combining_tree.hpp"
+#include "runtime/combining_backend.hpp"
 #include "runtime/coordination.hpp"
-#include "runtime/fetch_and_op.hpp"
+#include "runtime/rmw_backend.hpp"
 #include "runtime/full_empty_cell.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/group_lock.hpp"
@@ -77,38 +79,46 @@ TEST(Backoff, ProportionalBackoffRunsInAllRegimes) {
   proportional_backoff(kProportionalYieldAhead + 1);
 }
 
-// --- fetch-and-op wrappers ---------------------------------------------------
+// --- the §5 fetch-and-θ repertoire on hardware atomics ----------------------
 
 TEST(FetchAndOp, Basics) {
-  std::atomic<Word> x{10};
-  EXPECT_EQ(fetch_and_add(x, 5), 10u);
-  EXPECT_EQ(fetch_and_or(x, 0xF0), 15u);
-  EXPECT_EQ(fetch_and_and(x, 0x0F), 0xFFu);
-  EXPECT_EQ(fetch_and_xor(x, 0xFF), 0x0Fu);
-  EXPECT_EQ(x.load(), 0xF0u);
-  EXPECT_EQ(swap(x, 3), 0xF0u);
-  EXPECT_EQ(x.load(), 3u);
+  AtomicBackend b;
+  AtomicBackend::Cell x(b, 10);
+  EXPECT_EQ(b.fetch_add(x, 5), 10u);
+  EXPECT_EQ(b.fetch_or(x, 0xF0), 15u);
+  EXPECT_EQ(b.fetch_and(x, 0x0F), 0xFFu);
+  EXPECT_EQ(b.fetch_xor(x, 0xFF), 0x0Fu);
+  EXPECT_EQ(b.load(x), 0xF0u);
+  EXPECT_EQ(b.exchange(x, 3), 0xF0u);
+  EXPECT_EQ(b.load(x), 3u);
 }
 
 TEST(FetchAndOp, TestAndSet) {
-  std::atomic<Word> x{0};
-  EXPECT_FALSE(test_and_set(x));
-  EXPECT_TRUE(test_and_set(x));
-  EXPECT_EQ(x.load(), 1u);
+  // test-and-set(X) ≡ fetch-and-OR(X, 1) (§5.2).
+  AtomicBackend b;
+  AtomicBackend::Cell x(b, 0);
+  EXPECT_EQ(b.fetch_or(x, 1) & 1, 0u);
+  EXPECT_EQ(b.fetch_or(x, 1) & 1, 1u);
+  EXPECT_EQ(b.load(x), 1u);
 }
 
 TEST(FetchAndOp, MinMax) {
-  std::atomic<Word> x{50};
-  EXPECT_EQ(fetch_and_min(x, 30), 50u);
-  EXPECT_EQ(x.load(), 30u);
-  EXPECT_EQ(fetch_and_min(x, 40), 30u);
-  EXPECT_EQ(x.load(), 30u);
-  EXPECT_EQ(fetch_and_max(x, 99), 30u);
-  EXPECT_EQ(x.load(), 99u);
+  using krs::core::AnyRmw;
+  using krs::core::FetchMax;
+  using krs::core::FetchMin;
+  AtomicBackend b;
+  AtomicBackend::Cell x(b, 50);
+  EXPECT_EQ(b.fetch_rmw(x, AnyRmw(FetchMin(30))), 50u);
+  EXPECT_EQ(b.load(x), 30u);
+  EXPECT_EQ(b.fetch_rmw(x, AnyRmw(FetchMin(40))), 30u);
+  EXPECT_EQ(b.load(x), 30u);
+  EXPECT_EQ(b.fetch_rmw(x, AnyRmw(FetchMax(99))), 30u);
+  EXPECT_EQ(b.load(x), 99u);
 }
 
 TEST(FetchAndOp, ConcurrentAddsAreTickets) {
-  std::atomic<Word> x{0};
+  AtomicBackend b;
+  AtomicBackend::Cell x(b, 0);
   constexpr unsigned kPer = 2000;
   const unsigned nt = hw_threads();
   std::vector<std::vector<Word>> tickets(nt);
@@ -117,93 +127,105 @@ TEST(FetchAndOp, ConcurrentAddsAreTickets) {
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&, t] {
         for (unsigned i = 0; i < kPer; ++i)
-          tickets[t].push_back(fetch_and_add(x, 1));
+          tickets[t].push_back(b.fetch_add(x, 1));
       });
     }
   }
   std::set<Word> all;
   for (const auto& v : tickets) all.insert(v.begin(), v.end());
   EXPECT_EQ(all.size(), static_cast<std::size_t>(nt) * kPer);
-  EXPECT_EQ(x.load(), static_cast<Word>(nt) * kPer);
+  EXPECT_EQ(b.load(x), static_cast<Word>(nt) * kPer);
 }
 
 TEST(FetchAndOp, GeneralTheta) {
-  std::atomic<Word> x{7};
-  EXPECT_EQ(fetch_and_theta(x, [](Word v) { return v * 3 + 1; }), 7u);
-  EXPECT_EQ(x.load(), 22u);
+  // A mapping with no hardware instruction (x ↦ 3x + 1) takes the CAS-loop
+  // fetch_rmw path.
+  AtomicBackend b;
+  AtomicBackend::Cell x(b, 7);
+  EXPECT_EQ(b.fetch_rmw(x, krs::core::AnyRmw(krs::core::Affine(3, 1))), 7u);
+  EXPECT_EQ(b.load(x), 22u);
 }
 
-// --- combining tree ----------------------------------------------------------
+// --- combining tree, served through CombiningBackend ---------------------------
+//
+// No explicit slots: each thread's leaf comes from thread_ordinal(). The
+// explicit-slot surface (MappingCombiningTree) is covered in
+// test_lockfree_combining.cpp.
 
 TEST(CombiningTree, SingleThreadSequence) {
-  CombiningTree<long> tree(4, 100);
-  EXPECT_EQ(tree.fetch_and_op(0, 5), 100);
-  EXPECT_EQ(tree.fetch_and_op(1, 7), 105);
-  EXPECT_EQ(tree.fetch_and_op(3, 1), 112);
-  EXPECT_EQ(tree.read(), 113);
+  CombiningBackend b(4);
+  CombiningBackend::Cell c(b, 100);
+  EXPECT_EQ(b.fetch_add(c, 5), 100u);
+  EXPECT_EQ(b.fetch_add(c, 7), 105u);
+  EXPECT_EQ(b.fetch_add(c, 1), 112u);
+  EXPECT_EQ(b.load(c), 113u);
 }
 
 TEST(CombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
   const unsigned width = 8;
-  CombiningTree<long> tree(width, 0);
+  CombiningBackend b(width);
+  CombiningBackend::Cell c(b, 0);
   constexpr unsigned kPer = 300;
-  std::vector<std::vector<long>> got(width);
+  std::vector<std::vector<Word>> got(width);
   {
     std::vector<std::jthread> ts;
-    for (unsigned slot = 0; slot < width; ++slot) {
-      ts.emplace_back([&, slot] {
+    for (unsigned t = 0; t < width; ++t) {
+      ts.emplace_back([&, t] {
         for (unsigned i = 0; i < kPer; ++i)
-          got[slot].push_back(tree.fetch_and_op(slot, 1));
+          got[t].push_back(b.fetch_add(c, 1));
       });
     }
   }
-  std::set<long> all;
+  std::set<Word> all;
   for (const auto& v : got) {
     // Per-thread tickets strictly increase (M2.3 at the tree level).
     EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
     all.insert(v.begin(), v.end());
   }
   EXPECT_EQ(all.size(), static_cast<std::size_t>(width) * kPer);
-  EXPECT_EQ(*all.begin(), 0);
-  EXPECT_EQ(*all.rbegin(), static_cast<long>(width * kPer) - 1);
-  EXPECT_EQ(tree.read(), static_cast<long>(width * kPer));
+  EXPECT_EQ(*all.begin(), 0u);
+  EXPECT_EQ(*all.rbegin(), Word{width} * kPer - 1);
+  EXPECT_EQ(b.load(c), Word{width} * kPer);
 }
 
 TEST(CombiningTree, ArbitraryAddendsConserveSum) {
   const unsigned width = 8;
-  CombiningTree<long> tree(width, 0);
+  CombiningBackend b(width);
+  CombiningBackend::Cell c(b, 0);
   constexpr unsigned kPer = 200;
-  std::atomic<long> expected{0};
+  std::atomic<Word> expected{0};
   {
     std::vector<std::jthread> ts;
-    for (unsigned slot = 0; slot < width; ++slot) {
-      ts.emplace_back([&, slot] {
-        long local = 0;
+    for (unsigned t = 0; t < width; ++t) {
+      ts.emplace_back([&, t] {
+        Word local = 0;
         for (unsigned i = 0; i < kPer; ++i) {
-          const long v = static_cast<long>((slot * kPer + i) % 17 + 1);
-          tree.fetch_and_op(slot, v);
+          const Word v = (t * kPer + i) % 17 + 1;
+          b.fetch_add(c, v);
           local += v;
         }
         expected.fetch_add(local);
       });
     }
   }
-  EXPECT_EQ(tree.read(), expected.load());
+  EXPECT_EQ(b.load(c), expected.load());
 }
 
 TEST(CombiningTree, TwoThreadsPerLeafShareCorrectly) {
-  // Slots 0 and 1 share a leaf — the most combining-prone configuration.
-  CombiningTree<long> tree(2, 0);
+  // Width 2: one leaf, so every pair of concurrent ops meets there — the
+  // most combining-prone configuration.
+  CombiningBackend b(2);
+  CombiningBackend::Cell c(b, 0);
   constexpr unsigned kPer = 500;
   {
-    std::jthread a([&] {
-      for (unsigned i = 0; i < kPer; ++i) tree.fetch_and_op(0, 1);
+    std::jthread t0([&] {
+      for (unsigned i = 0; i < kPer; ++i) b.fetch_add(c, 1);
     });
-    std::jthread b([&] {
-      for (unsigned i = 0; i < kPer; ++i) tree.fetch_and_op(1, 1);
+    std::jthread t1([&] {
+      for (unsigned i = 0; i < kPer; ++i) b.fetch_add(c, 1);
     });
   }
-  EXPECT_EQ(tree.read(), 2 * static_cast<long>(kPer));
+  EXPECT_EQ(b.load(c), 2 * Word{kPer});
 }
 
 // --- full/empty cell ---------------------------------------------------------
@@ -279,7 +301,7 @@ TEST(FullEmptyCell, ManyProducersManyConsumers) {
 
 TEST(FaaBarrier, PhasesStayAligned) {
   const unsigned nt = hw_threads();
-  FaaBarrier barrier(nt);
+  BasicBarrier<> barrier(nt);
   constexpr int kPhases = 200;
   std::vector<int> counters(kPhases, 0);
   std::atomic<bool> torn{false};
@@ -287,11 +309,10 @@ TEST(FaaBarrier, PhasesStayAligned) {
     std::vector<std::jthread> ts;
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&] {
-        bool sense = true;
         for (int ph = 0; ph < kPhases; ++ph) {
           // Non-atomic increment: safe only if barrier separates phases.
           __atomic_fetch_add(&counters[ph], 1, __ATOMIC_RELAXED);
-          barrier.arrive_and_wait(sense);
+          barrier.arrive_and_wait();
           if (counters[ph] != static_cast<int>(nt)) torn = true;
         }
       });
@@ -312,10 +333,9 @@ TEST(TreeBarrier, PhasesStayAlignedPowerOfTwo) {
     std::vector<std::jthread> ts;
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&, t] {
-        bool sense = true;
         for (int ph = 0; ph < kPhases; ++ph) {
           __atomic_fetch_add(&counters[ph], 1, __ATOMIC_RELAXED);
-          barrier.arrive_and_wait(t, sense);
+          barrier.arrive_and_wait(t);
           EXPECT_EQ(counters[ph], static_cast<int>(nt));
         }
       });
@@ -332,10 +352,9 @@ TEST(TreeBarrier, WorksForOddPartyCounts) {
       std::vector<std::jthread> ts;
       for (unsigned t = 0; t < nt; ++t) {
         ts.emplace_back([&, t] {
-          bool sense = true;
           for (int ph = 0; ph < kPhases; ++ph) {
             sum.fetch_add(1);
-            barrier.arrive_and_wait(t, sense);
+            barrier.arrive_and_wait(t);
             // After the barrier, everyone's arrival for this phase is in.
             EXPECT_GE(sum.load(), (ph + 1) * static_cast<int>(nt));
           }
@@ -346,10 +365,60 @@ TEST(TreeBarrier, WorksForOddPartyCounts) {
   }
 }
 
+// --- arrival order: a barrier owns its phase state ------------------------------
+//
+// Party 1 arrives alone and must not return until party 0 arrives, in the
+// first phase and in the next one. A barrier whose phase state starts out
+// already "released" for one of its callers lets party 1 walk through.
+
+template <typename Arrive>
+void second_party_arrives_first(Arrive arrive) {
+  using namespace std::chrono_literals;
+  for (int phase = 0; phase < 2; ++phase) {
+    std::atomic<bool> party0_arrived{false};
+    std::atomic<bool> left_alone{false};
+    std::atomic<bool> party1_left{false};
+    std::jthread party1([&] {
+      arrive(1u);
+      if (!party0_arrived.load()) left_alone = true;
+      party1_left = true;
+    });
+    std::this_thread::sleep_for(100ms);
+    EXPECT_FALSE(party1_left.load()) << "phase " << phase;
+    party0_arrived = true;
+    arrive(0u);
+    party1.join();
+    EXPECT_FALSE(left_alone.load()) << "phase " << phase;
+  }
+}
+
+TEST(SecondPartyArrivesFirst, TreeBarrier) {
+  TreeBarrier barrier(2);
+  second_party_arrives_first(
+      [&](unsigned slot) { barrier.arrive_and_wait(slot); });
+}
+
+TEST(SecondPartyArrivesFirst, AtomicBarrierSpinYield) {
+  BasicBarrier<AtomicBackend, krs::analysis::DefaultInstrument, SpinYieldWait>
+      barrier(2);
+  second_party_arrives_first([&](unsigned) { barrier.arrive_and_wait(); });
+}
+
+TEST(SecondPartyArrivesFirst, AtomicBarrierFutex) {
+  BasicBarrier<AtomicBackend, krs::analysis::DefaultInstrument, FutexWait>
+      barrier(2);
+  second_party_arrives_first([&](unsigned) { barrier.arrive_and_wait(); });
+}
+
+TEST(SecondPartyArrivesFirst, CombiningBarrier) {
+  BasicBarrier<CombiningBackend> barrier(2, CombiningBackend(2));
+  second_party_arrives_first([&](unsigned) { barrier.arrive_and_wait(); });
+}
+
 // --- readers-writers ---------------------------------------------------------
 
 TEST(FaaRwLock, WritersAreExclusive) {
-  FaaRwLock lock;
+  BasicRwLock<> lock;
   long shared_value = 0;
   const unsigned nw = 4;
   constexpr int kPer = 2000;
@@ -369,7 +438,7 @@ TEST(FaaRwLock, WritersAreExclusive) {
 }
 
 TEST(FaaRwLock, ReadersSeeConsistentSnapshots) {
-  FaaRwLock lock;
+  BasicRwLock<> lock;
   // Writer keeps a two-word invariant a == b; readers must never see a
   // torn pair.
   volatile long a = 0, b = 0;
@@ -403,7 +472,7 @@ TEST(FaaRwLock, ReadersSeeConsistentSnapshots) {
 
 TEST(FaaSemaphore, LimitsConcurrency) {
   constexpr std::int64_t kLimit = 3;
-  FaaSemaphore sem(kLimit);
+  BasicSemaphore<> sem(kLimit);
   std::atomic<int> inside{0};
   std::atomic<int> max_inside{0};
   const unsigned nt = hw_threads();
@@ -428,7 +497,7 @@ TEST(FaaSemaphore, LimitsConcurrency) {
 }
 
 TEST(FaaSemaphore, TryP) {
-  FaaSemaphore sem(1);
+  BasicSemaphore<> sem(1);
   EXPECT_TRUE(sem.try_p());
   EXPECT_FALSE(sem.try_p());
   sem.v();

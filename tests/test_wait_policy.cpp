@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/coordination.hpp"
 #include "runtime/local_spin_locks.hpp"
 #include "runtime/wait_policy.hpp"
 
@@ -372,21 +373,24 @@ TEST(ParkingLockTest, OversubscribedConservation) {
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-// ---- the sense-reversing barrier ---------------------------------------
+// ---- the centralized barrier under each wait policy ---------------------
+//
+// BasicBarrier waits on a 32-bit phase word, so FutexWait parks on it. The
+// suite keeps the name of the sense-reversing barrier it replaced.
 
 template <typename Policy>
 void barrier_rounds(unsigned nthreads, int rounds) {
-  BasicSenseBarrier<Policy> bar(nthreads);
+  BasicBarrier<AtomicBackend, krs::analysis::DefaultInstrument, Policy> bar(
+      nthreads);
   std::vector<std::uint64_t> slot(nthreads, 0);  // one writer each
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
   threads.reserve(nthreads);
   for (unsigned me = 0; me < nthreads; ++me) {
     threads.emplace_back([&, me] {
-      bool sense = false;  // callers start false; the barrier flips it
       for (int r = 0; r < rounds; ++r) {
         ++slot[me];
-        bar.arrive_and_wait(sense);
+        bar.arrive_and_wait();
         if (me == 0) {
           for (unsigned j = 0; j < nthreads; ++j) {
             if (slot[j] != static_cast<std::uint64_t>(r) + 1) {
@@ -394,7 +398,7 @@ void barrier_rounds(unsigned nthreads, int rounds) {
             }
           }
         }
-        bar.arrive_and_wait(sense);  // hold everyone until the check ran
+        bar.arrive_and_wait();  // hold everyone until the check ran
       }
     });
   }
