@@ -1,15 +1,7 @@
-// Busy-wait pacing for the lock-free runtime primitives.
+// Busy-wait primitives under the runtime's waiting sites.
 //
-// The paper's model waits by local spinning on a private word (a failed
-// conditional RMW is a negative acknowledgment; the caller retries). On a
-// real machine a naive retry loop hammers the coherence protocol, so every
-// spin site in src/runtime paces itself with one of two policies:
-//
-//  * ExpBackoff — bounded exponential backoff: spin 1, 2, 4, ... pause
-//    instructions up to a cap, then fall through to std::this_thread::yield
-//    on every further round. The yield matters on oversubscribed hosts
-//    (more waiters than cores): the partner we are waiting for may need our
-//    core to make progress at all.
+//  * cpu_relax() — the pause hint every spin round issues; the wait
+//    schedule itself (spin, then yield or park) lives in wait_policy.hpp.
 //  * proportional_backoff(ahead) — the classic ticket-lock fix: a waiter
 //    that knows it is `ahead` tickets from being served spins ~ahead·k
 //    before re-reading now_serving, so P waiters do not all hammer the
@@ -31,35 +23,6 @@ inline void cpu_relax() noexcept {
   // No pause hint on this target; the loop's atomic load is the pacing.
 #endif
 }
-
-/// Bounded exponential backoff: spin 2^k pauses up to `kSpinCap`, then
-/// yield each round. Reset between independent waits.
-class ExpBackoff {
- public:
-  static constexpr std::uint32_t kSpinCap = 64;
-
-  void pause() noexcept {
-    if (spins_ <= kSpinCap) {
-      for (std::uint32_t i = 0; i < spins_; ++i) cpu_relax();
-      spins_ *= 2;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-
-  /// The spin budget the NEXT pause() would use (saturates one doubling
-  /// past the cap, where every further round is a yield). Exposed so the
-  /// doubling/cap schedule is testable without timing a spin loop.
-  [[nodiscard]] std::uint32_t current_spins() const noexcept {
-    return spins_;
-  }
-
-  /// Back to the initial budget — call between independent waits.
-  void reset() noexcept { spins_ = 1; }
-
- private:
-  std::uint32_t spins_ = 1;
-};
 
 // Proportional-backoff schedule constants (exposed for the unit tests).
 inline constexpr std::uint64_t kProportionalSpinsPerWaiter = 48;

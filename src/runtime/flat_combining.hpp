@@ -28,9 +28,9 @@
 // only) — the inversion of the §1 hot spot that tools/krs_profile's flat
 // run demonstrates. Waiting is local spinning on the thread's own slot,
 // paced by the WaitPolicy seam (runtime/wait_policy.hpp): SpinYieldWait
-// reproduces the historical ExpBackoff schedule, FutexWait parks waiters
-// on their own slot word (the combiner wakes them when the reply lands,
-// with bounded park timeouts covering the publish-after-scan race).
+// spins and then yields, FutexWait parks waiters on their own slot word
+// (the combiner wakes them when the reply lands, with bounded park
+// timeouts covering the publish-after-scan race).
 //
 // FlatCombiningBackend wraps the combiner behind the RmwBackend concept,
 // making it the FOURTH substrate (after atomic / combining-tree / sim):

@@ -4,20 +4,19 @@
 // The paper's cost model waits by local spinning on a private word (§3: a
 // failed conditional RMW is a negative acknowledgment; the caller retries).
 // On a real machine that model splits three ways, which is exactly the
-// policy axis:
+// policy axis. All three run ONE schedule (detail::ScheduledWait): rounds
+// 0..6 spin 1, 2, 4, … 64 pause instructions; only the tail differs:
 //
-//  * SpinWait — pure local spinning with bounded exponential pacing, never
-//    yielding the core. The paper's model verbatim; right when waiters ≤
-//    cores and latency is everything.
-//  * SpinYieldWait — today's default: the ExpBackoff schedule (spin 1, 2,
-//    4, … pause instructions to a cap, then std::this_thread::yield each
-//    round). The yield matters once the partner we wait for may need our
+//  * SpinWait — keeps spinning 64 pauses a round, never yielding the core.
+//    The paper's model verbatim; right when waiters ≤ cores and latency is
+//    everything.
+//  * SpinYieldWait — the default: std::this_thread::yield every further
+//    round. The yield matters once the partner we wait for may need our
 //    core (mild oversubscription).
-//  * FutexWait — spin-then-park: a short spin grace, a few yields, then
-//    the thread PARKS in the kernel (Linux futex(2); a striped
-//    mutex+condvar parking lot elsewhere) until the waited word changes or
-//    a bounded timeout fires. Right when waiters ≫ cores: parked waiters
-//    stop burning the very cycles the lock holder needs.
+//  * FutexWait — four yields, then the thread PARKS in the kernel (Linux
+//    futex(2); a striped mutex+condvar parking lot elsewhere) until the
+//    waited word changes or a bounded timeout fires. Right when waiters ≫
+//    cores: parked waiters stop burning the very cycles the holder needs.
 //
 // Interface (concept `WaitPolicy`): a policy object paces ONE wait episode.
 // `pause()` is a blind round (no addressable word — FutexWait degrades to a
@@ -28,11 +27,11 @@
 // are the waker-side hooks — no-ops unless the policy parks (`kParks`), so
 // default-policy fast paths stay store-only.
 //
-// Telemetry: every policy counts spins / yields / parks and every notify
-// counts wakes. Counters accumulate into a thread-local block (flushed on
-// reset/destruction) that drains into process totals at thread exit —
-// wait_stats_snapshot() after joining workers is exact, and a live thread
-// can watch its own thread_wait_stats() deltas (the bench harness does).
+// Telemetry: every policy counts spins / yields / parks and every parking
+// notify counts wakes. Counters accumulate into a thread-local block
+// (flushed on reset/destruction) that drains into process totals at thread
+// exit — wait_stats_snapshot() after joining workers is exact, and a live
+// thread can watch its own thread_wait_stats() deltas.
 //
 // Tests can interpose on parking via futex_hooks(): swap park/wake with
 // scripted functions to drive spurious wakeups and lost-wake orderings
@@ -89,33 +88,10 @@ struct WaitStats {
 
 namespace detail {
 
-struct GlobalWaitStats {
-  std::atomic<std::uint64_t> spins{0};
-  std::atomic<std::uint64_t> yields{0};
-  std::atomic<std::uint64_t> parks{0};
-  std::atomic<std::uint64_t> wakes{0};
-
-  static GlobalWaitStats& instance() {
-    static GlobalWaitStats g;
-    return g;
-  }
-
-  void drain(const WaitStats& s) noexcept {
-    if (s.spins) spins.fetch_add(s.spins, std::memory_order_relaxed);
-    if (s.yields) yields.fetch_add(s.yields, std::memory_order_relaxed);
-    if (s.parks) parks.fetch_add(s.parks, std::memory_order_relaxed);
-    if (s.wakes) wakes.fetch_add(s.wakes, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] WaitStats snapshot() const noexcept {
-    WaitStats s;
-    s.spins = spins.load(std::memory_order_relaxed);
-    s.yields = yields.load(std::memory_order_relaxed);
-    s.parks = parks.load(std::memory_order_relaxed);
-    s.wakes = wakes.load(std::memory_order_relaxed);
-    return s;
-  }
-};
+/// Process-wide totals of exited threads; guarded by process_wait_mu,
+/// which is taken only at thread exit and by wait_stats_snapshot().
+inline std::mutex process_wait_mu;
+inline WaitStats process_wait_totals;
 
 /// Per-thread running totals; the destructor drains them into the process
 /// totals, so a coordinator that has JOINED its workers reads exact sums.
@@ -124,7 +100,10 @@ struct TlsWaitStats {
   TlsWaitStats() = default;
   TlsWaitStats(const TlsWaitStats&) = delete;
   TlsWaitStats& operator=(const TlsWaitStats&) = delete;
-  ~TlsWaitStats() { GlobalWaitStats::instance().drain(stats); }
+  ~TlsWaitStats() {
+    std::lock_guard<std::mutex> lk(process_wait_mu);
+    process_wait_totals += stats;
+  }
 };
 
 inline TlsWaitStats& wait_tls() noexcept {
@@ -145,7 +124,11 @@ inline TlsWaitStats& wait_tls() noexcept {
 /// calling thread's own. Exact once all other worker threads have been
 /// joined (their destructors drained); approximate while they run.
 [[nodiscard]] inline WaitStats wait_stats_snapshot() noexcept {
-  WaitStats s = detail::GlobalWaitStats::instance().snapshot();
+  WaitStats s;
+  {
+    std::lock_guard<std::mutex> lk(detail::process_wait_mu);
+    s = detail::process_wait_totals;
+  }
   s += detail::wait_tls().stats;
   return s;
 }
@@ -270,122 +253,42 @@ inline void do_wake(const std::atomic<std::uint32_t>* w, bool all) noexcept {
 
 }  // namespace detail
 
-// ---- policies ---------------------------------------------------------------
+// ---- the policies -----------------------------------------------------------
 
-/// Pure local spinning, exponentially paced to a cap, never yielding the
-/// core — the paper's private-word wait model verbatim. Cheapest latency
-/// when waiters ≤ cores; pathological when the partner needs this core.
-class SpinWait {
+namespace detail {
+
+/// What a wait does once its spin grace is spent.
+enum class WaitTail { kSpin, kYield, kPark };
+
+/// The one wait schedule. Round r < kSpinRounds spins 2^r pauses (1, 2, 4,
+/// … kSpinCap); the tail decides every later round: kSpin keeps spinning
+/// kSpinCap pauses, kYield yields, kPark yields kYieldRounds times and then
+/// parks. Addressable parks sit on the waited word itself (futex(2): the
+/// kernel atomically re-checks the expected value, so a wake issued between
+/// our user-space check and the sleep is never lost); blind waits degrade
+/// to a bounded timed sleep. Every park carries an escalating bounded
+/// timeout — livelock insurance for protocols whose wakers publish after
+/// their scan (the flat combiner's handoff), at worst costing one timeout
+/// of latency, never a hang.
+template <WaitTail Tail>
+class ScheduledWait {
  public:
-  static constexpr bool kParks = false;
-  static constexpr std::uint32_t kSpinCap = ExpBackoff::kSpinCap;
-
-  SpinWait() = default;
-  SpinWait(const SpinWait&) = delete;
-  SpinWait& operator=(const SpinWait&) = delete;
-  ~SpinWait() { flush(); }
-
-  void pause() noexcept {
-    const std::uint32_t n = spins_;
-    for (std::uint32_t i = 0; i < n; ++i) cpu_relax();
-    local_.spins += n;
-    if (spins_ < kSpinCap) spins_ *= 2;
-  }
-
-  void wait_while_equal(const std::atomic<std::uint32_t>&,
-                        std::uint32_t) noexcept {
-    pause();  // the caller's predicate loop re-reads the word
-  }
-
-  void reset() noexcept {
-    flush();
-    spins_ = 1;
-  }
-
-  static void notify_one(std::atomic<std::uint32_t>&) noexcept {}
-  static void notify_all(std::atomic<std::uint32_t>&) noexcept {}
-
- private:
-  void flush() noexcept {
-    detail::wait_tls().stats += local_;
-    local_ = {};
-  }
-
-  std::uint32_t spins_ = 1;
-  WaitStats local_{};
-};
-
-/// The historical default: ExpBackoff's exact schedule — spin 1, 2, 4, …
-/// pause instructions up to the cap, then yield every further round. Keeps
-/// every primitive's pre-seam behavior while routing it through the policy
-/// point (and counting it).
-class SpinYieldWait {
- public:
-  static constexpr bool kParks = false;
-
-  SpinYieldWait() = default;
-  SpinYieldWait(const SpinYieldWait&) = delete;
-  SpinYieldWait& operator=(const SpinYieldWait&) = delete;
-  ~SpinYieldWait() { flush(); }
-
-  void pause() noexcept {
-    const std::uint32_t budget = bo_.current_spins();
-    if (budget <= ExpBackoff::kSpinCap) {
-      local_.spins += budget;
-    } else {
-      ++local_.yields;
-    }
-    bo_.pause();
-  }
-
-  void wait_while_equal(const std::atomic<std::uint32_t>&,
-                        std::uint32_t) noexcept {
-    pause();
-  }
-
-  void reset() noexcept {
-    flush();
-    bo_.reset();
-  }
-
-  static void notify_one(std::atomic<std::uint32_t>&) noexcept {}
-  static void notify_all(std::atomic<std::uint32_t>&) noexcept {}
-
- private:
-  void flush() noexcept {
-    detail::wait_tls().stats += local_;
-    local_ = {};
-  }
-
-  ExpBackoff bo_;
-  WaitStats local_{};
-};
-
-/// Spin-then-park: a short exponential spin grace, a few yields, then the
-/// thread parks in the kernel. Addressable waits park on the waited word
-/// itself (futex(2): the kernel atomically re-checks the expected value,
-/// so a wake issued between our user-space check and the sleep is never
-/// lost); blind waits degrade to a bounded timed sleep. Every park carries
-/// an escalating bounded timeout — livelock insurance for protocols whose
-/// wakers publish after their scan (the flat combiner's handoff), at worst
-/// costing one timeout of latency, never a hang.
-class FutexWait {
- public:
-  static constexpr bool kParks = true;
-  static constexpr std::uint32_t kSpinRounds = 7;   // 1+2+…+64 pause grace
-  static constexpr std::uint32_t kYieldRounds = 4;  // then a few yields
+  static constexpr bool kParks = Tail == WaitTail::kPark;
+  static constexpr std::uint32_t kSpinRounds = 7;  // 1+2+…+64 pause grace
+  static constexpr std::uint32_t kSpinCap = 1u << (kSpinRounds - 1);
+  static constexpr std::uint32_t kYieldRounds = 4;  // kPark: yields, then park
   static constexpr std::chrono::nanoseconds kMinParkTimeout{100'000};
   static constexpr std::chrono::nanoseconds kMaxParkTimeout{5'000'000};
 
-  FutexWait() = default;
-  FutexWait(const FutexWait&) = delete;
-  FutexWait& operator=(const FutexWait&) = delete;
-  ~FutexWait() { flush(); }
+  ScheduledWait() = default;
+  ScheduledWait(const ScheduledWait&) = delete;
+  ScheduledWait& operator=(const ScheduledWait&) = delete;
+  ~ScheduledWait() { flush(); }
 
-  /// Blind round: no word to park on, so the park phase is a bounded timed
-  /// sleep — progress never depends on a waker the caller can't name.
+  /// Blind round: no word to park on, so a park is a bounded timed sleep —
+  /// progress never depends on a waker the caller can't name.
   void pause() noexcept {
-    if (grace_round()) return;
+    if (spin_or_yield()) return;
     std::this_thread::sleep_for(next_timeout());
     ++local_.parks;
   }
@@ -395,8 +298,8 @@ class FutexWait {
   /// return costs one loop iteration, nothing else.
   void wait_while_equal(const std::atomic<std::uint32_t>& w,
                         std::uint32_t v) noexcept {
-    if (grace_round()) return;
-    detail::do_park(&w, v, next_timeout());
+    if (spin_or_yield()) return;
+    do_park(&w, v, next_timeout());
     ++local_.parks;
   }
 
@@ -406,28 +309,36 @@ class FutexWait {
     timeout_ = kMinParkTimeout;
   }
 
+  /// Waker side: only a parking policy wakes (and counts the wake), so the
+  /// other policies' release paths stay store-only.
   static void notify_one(std::atomic<std::uint32_t>& w) noexcept {
-    detail::do_wake(&w, false);
-    ++detail::wait_tls().stats.wakes;
+    notify(w, false);
   }
   static void notify_all(std::atomic<std::uint32_t>& w) noexcept {
-    detail::do_wake(&w, true);
-    ++detail::wait_tls().stats.wakes;
+    notify(w, true);
   }
 
  private:
-  bool grace_round() noexcept {
-    if (round_ < kSpinRounds) {
-      const std::uint32_t n = 1u << round_;
+  static void notify(std::atomic<std::uint32_t>& w, bool all) noexcept {
+    if constexpr (kParks) {
+      do_wake(&w, all);
+      ++wait_tls().stats.wakes;
+    }
+  }
+
+  /// One round that spins or yields; false when this round must park.
+  bool spin_or_yield() noexcept {
+    const std::uint32_t r = round_;
+    if (r < kSpinRounds + kYieldRounds) ++round_;  // saturates in the tail
+    if (r < kSpinRounds || Tail == WaitTail::kSpin) {
+      const std::uint32_t n = r < kSpinRounds ? 1u << r : kSpinCap;
       for (std::uint32_t i = 0; i < n; ++i) cpu_relax();
       local_.spins += n;
-      ++round_;
       return true;
     }
-    if (round_ < kSpinRounds + kYieldRounds) {
+    if (Tail == WaitTail::kYield || r < kSpinRounds + kYieldRounds) {
       std::this_thread::yield();
       ++local_.yields;
-      ++round_;
       return true;
     }
     return false;
@@ -440,7 +351,7 @@ class FutexWait {
   }
 
   void flush() noexcept {
-    detail::wait_tls().stats += local_;
+    wait_tls().stats += local_;
     local_ = {};
   }
 
@@ -448,6 +359,20 @@ class FutexWait {
   std::chrono::nanoseconds timeout_ = kMinParkTimeout;
   WaitStats local_{};
 };
+
+}  // namespace detail
+
+/// Pure local spinning, never yielding the core — the paper's private-word
+/// wait model verbatim. Cheapest latency when waiters ≤ cores;
+/// pathological when the partner needs this core.
+using SpinWait = detail::ScheduledWait<detail::WaitTail::kSpin>;
+
+/// The default: the spin grace, then a yield every further round.
+using SpinYieldWait = detail::ScheduledWait<detail::WaitTail::kYield>;
+
+/// Spin-then-park: the spin grace, a few yields, then the thread parks in
+/// the kernel until the waited word changes or the timeout fires.
+using FutexWait = detail::ScheduledWait<detail::WaitTail::kPark>;
 
 // ---- the concept ------------------------------------------------------------
 

@@ -8,8 +8,9 @@
 // e-cube (dimension-order) routing — a unique, deterministic path, so the
 // §4.1 assumptions (non-overtaking, reply retraces the path) hold exactly
 // as in the indirect network. Each router output link carries a combining
-// FIFO with the same youngest-match rule and wait-buffer decombination as
-// the 2×2 switch; the Theorem 4.2 checker applies unchanged.
+// FIFO with the same youngest-match rule, combine policy, record-counted
+// wait-buffer bound and decombination as the 2×2 switch; the Theorem 4.2
+// checker applies unchanged.
 //
 // Engine layout (sim/engine.hpp): one shard per node. CONSUME ingests the
 // node's staging slots (replies, then local memory, then requests, then
@@ -331,7 +332,13 @@ class HypercubeMachine {
         if (it->kind != net::TxnKind::kRmw || it->req.addr != head.req.addr) {
           continue;
         }
-        if (nd.wait_buffer->entries() >= cfg_.wait_buffer_capacity) break;
+        // The switch's rules: pairwise declines a representative that
+        // already holds a record here; the bound counts records.
+        if (cfg_.policy == net::CombinePolicy::kPairwise &&
+            nd.wait_buffer->fan_in(it->req.id) >= 1) {
+          break;
+        }
+        if (nd.wait_buffer->records() >= cfg_.wait_buffer_capacity) break;
         auto rec = core::try_combine(it->req, head.req);
         if (!rec) break;
         it->combined = true;

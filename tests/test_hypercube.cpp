@@ -4,6 +4,8 @@
 // hot-spot trees just as in the indirect network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -100,6 +102,47 @@ TEST(Hypercube, CombiningBeatsNoCombiningOnHotSpot) {
   EXPECT_LT(comb.cycles, base.cycles);
   // Combining also cuts link traffic (absorbed requests stop traveling).
   EXPECT_LT(comb.hops, base.hops);
+}
+
+// The hot spot both wait-buffer tests drive: dims=4, window 8, all 16
+// nodes issue 64 FetchAdd(1) each to address 3. Returns the most requests
+// any one representative absorbed (combine_log events naming it).
+std::size_t max_absorbed_per_representative(HypercubeConfig<FetchAdd> cfg) {
+  cfg.dimensions = 4;
+  cfg.window = 8;
+  SourceVec<FetchAdd> src;
+  for (std::uint32_t u = 0; u < 16; ++u) {
+    src.push_back(std::make_unique<workload::SingleAddressSource<FetchAdd>>(
+        3, 64, [](util::Xoshiro256&) { return FetchAdd(1); }, 500 + u));
+  }
+  HypercubeMachine<FetchAdd> m(cfg, std::move(src));
+  EXPECT_TRUE(m.run(1000000));
+  EXPECT_EQ(m.value_at(3), 16u * 64u);
+  const auto res = verify::check_machine(m, 0);
+  EXPECT_TRUE(res.ok) << res.error;
+  std::map<core::ReqId, std::size_t> absorbed;
+  std::size_t most = 0;
+  for (const auto& ev : m.combine_log()) {
+    most = std::max(most, ++absorbed[ev.representative]);
+  }
+  return most;
+}
+
+TEST(Hypercube, PairwisePolicyAbsorbsOneRequestPerNode) {
+  // Pairwise: a representative already holding a record at a node declines
+  // further partners there, so along its e-cube path (at most `dimensions`
+  // routing nodes) it absorbs at most one request per node.
+  HypercubeConfig<FetchAdd> cfg;
+  cfg.policy = net::CombinePolicy::kPairwise;
+  EXPECT_LE(max_absorbed_per_representative(cfg), 4u);
+}
+
+TEST(Hypercube, WaitBufferCapacityBoundsRecords) {
+  // wait_buffer_capacity counts combine RECORDS per node, as in the switch:
+  // with room for 2, no representative absorbs more than 2 per node.
+  HypercubeConfig<FetchAdd> cfg;
+  cfg.wait_buffer_capacity = 2;
+  EXPECT_LE(max_absorbed_per_representative(cfg), 2u * 4u);
 }
 
 class HypercubeSeeds : public ::testing::TestWithParam<int> {};

@@ -22,6 +22,7 @@
 #include "runtime/group_lock.hpp"
 #include "runtime/ticket_lock.hpp"
 #include "runtime/tree_barrier.hpp"
+#include "runtime/wait_policy.hpp"
 
 namespace {
 
@@ -33,30 +34,48 @@ unsigned hw_threads() {
 
 // --- busy-wait pacing policies ----------------------------------------------
 
-TEST(Backoff, ExpBackoffDoublesToCapThenSaturates) {
-  ExpBackoff bo;
-  // Budget doubles 1, 2, 4, ..., kSpinCap while in the spinning regime.
-  for (std::uint32_t expect = 1; expect <= ExpBackoff::kSpinCap; expect *= 2) {
-    EXPECT_EQ(bo.current_spins(), expect);
-    bo.pause();
+// The one wait schedule, pinned through SpinYieldWait and read back from
+// the thread's wait telemetry (a policy flushes on reset and destruction).
+WaitStats spin_yield_rounds(int rounds) {
+  const WaitStats before = thread_wait_stats();
+  {
+    SpinYieldWait pol;
+    for (int i = 0; i < rounds; ++i) pol.pause();
   }
-  // One doubling past the cap parks the budget in the yield regime, where
-  // further pauses no longer grow it.
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
-  bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
-  bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
+  return thread_wait_stats() - before;
+}
+
+TEST(Backoff, ExpBackoffDoublesToCapThenSaturates) {
+  // Round r spins 2^r pauses while r < kSpinRounds, doubling to kSpinCap.
+  for (int k = 1; k <= static_cast<int>(SpinYieldWait::kSpinRounds); ++k) {
+    const WaitStats d = spin_yield_rounds(k);
+    EXPECT_EQ(d.spins, (1u << k) - 1);
+    EXPECT_EQ(d.yields, 0u);
+  }
+  static_assert(SpinYieldWait::kSpinCap == 64);
+  // Past the cap every round is one yield and the spin total stays put.
+  const WaitStats d = spin_yield_rounds(10);
+  EXPECT_EQ(d.spins, 127u);
+  EXPECT_EQ(d.yields, 3u);
+  EXPECT_EQ(d.parks, 0u);
 }
 
 TEST(Backoff, ExpBackoffResetRestartsTheSchedule) {
-  ExpBackoff bo;
-  for (int i = 0; i < 10; ++i) bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
-  bo.reset();
-  EXPECT_EQ(bo.current_spins(), 1u);
-  bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2u);
+  SpinYieldWait pol;
+  for (int i = 0; i < 10; ++i) pol.pause();
+  pol.reset();  // flushes the ten rounds and re-arms the schedule
+  const WaitStats before = thread_wait_stats();
+  pol.pause();
+  pol.reset();
+  WaitStats d = thread_wait_stats() - before;
+  EXPECT_EQ(d.spins, 1u);  // back at the first round's single pause
+  EXPECT_EQ(d.yields, 0u);
+  pol.pause();
+  pol.pause();
+  pol.reset();
+  d = thread_wait_stats() - before;
+  EXPECT_EQ(d.spins, 1u + 1u + 2u);
+  EXPECT_EQ(d.yields, 0u);
 }
 
 TEST(Backoff, ProportionalScheduleIsLinearUntilYieldThreshold) {

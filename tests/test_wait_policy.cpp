@@ -196,8 +196,10 @@ TEST(WaitTelemetry, WorkerCountsDrainAtThreadExit) {
   t.join();
   const WaitStats d = wait_stats_snapshot() - before;
   // 1+2+4+…+64, then capped at 64: 191 pause instructions, all visible
-  // after the join.
+  // after the join. SpinWait's tail keeps spinning: no yield, no park.
   EXPECT_EQ(d.spins, 191u);
+  EXPECT_EQ(d.yields, 0u);
+  EXPECT_EQ(d.parks, 0u);
 }
 
 TEST(WaitTelemetry, ResetFlushesIntoThreadStats) {
