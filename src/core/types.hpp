@@ -39,7 +39,8 @@ struct ReqIdHash {
 };
 
 inline std::string to_string(const ReqId& id) {
-  return "P" + std::to_string(id.proc) + "#" + std::to_string(id.seq);
+  return std::string("P").append(std::to_string(id.proc)).append("#").append(
+      std::to_string(id.seq));  // not "P" + ...: GCC 12 false -Wrestrict
 }
 
 }  // namespace krs::core

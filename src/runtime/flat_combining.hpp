@@ -124,22 +124,13 @@ class FlatCombiner {
     Instrument::shared_store(&s.seq, KRS_SITE);
     s.seq.store(kPending, std::memory_order_release);
 
-    bool self_served = false;
     Policy pol;
     for (;;) {
       if (s.seq.load(std::memory_order_acquire) == kDone) break;
       if (try_lock()) {
-        // A peer's pass may have served this op between the kDone check
-        // and winning the lock — that op was combined, not self-served,
-        // so skip the tenure and keep combined_fraction() honest.
-        if (s.seq.load(std::memory_order_acquire) == kDone) {
-          unlock();
-          break;
-        }
         combine(&s);
         unlock();
         if constexpr (Policy::kParks) wake_pending();
-        self_served = true;
         break;
       }
       // Local wait on our own slot word: a combiner flipping it to kDone
@@ -151,8 +142,6 @@ class FlatCombiner {
     const core::Word prior = s.result;
     s.seq.store(kIdle, std::memory_order_release);
     if constexpr (Policy::kParks) Policy::notify_all(s.seq);
-    ops_.fetch_add(1, std::memory_order_relaxed);
-    if (!self_served) combined_.fetch_add(1, std::memory_order_relaxed);
     Instrument::release(this);
     return prior;
   }
@@ -168,7 +157,7 @@ class FlatCombiner {
     Policy pol;
     while (!try_lock()) pol.wait_while_equal(lock_, 1);
     const core::Word prior = value_.load(std::memory_order_relaxed);
-    value_.store(std::forward<F>(f)(prior), std::memory_order_release);
+    value_.store(std::forward<F>(f)(prior), std::memory_order_seq_cst);
     bump(serialized_updates_);  // under the lock: writers serialized
     unlock();
     if constexpr (Policy::kParks) wake_pending();
@@ -177,11 +166,11 @@ class FlatCombiner {
   }
 
   /// Atomic snapshot of the current value: the value word is a single
-  /// atomic updated only under the combiner lock, so a bare acquire load
+  /// atomic updated only under the combiner lock, so a bare seq_cst load
   /// is coherent — no lock, no publication.
   [[nodiscard]] core::Word read() const {
     Instrument::shared_load(&value_, KRS_SITE);
-    return value_.load(std::memory_order_acquire);
+    return value_.load(std::memory_order_seq_cst);
   }
 
   [[nodiscard]] unsigned slots() const noexcept { return nslots_; }
@@ -262,7 +251,6 @@ class FlatCombiner {
       KRS_ASSERT(s.seq.load(std::memory_order_acquire) == kDone);
       priors[i] = s.result;
       s.seq.store(kIdle, std::memory_order_release);
-      ops_.fetch_add(1, std::memory_order_relaxed);
     }
     Instrument::release(this);
     return priors;
@@ -334,8 +322,8 @@ class FlatCombiner {
   /// Increment for counters mutated ONLY while the combiner lock is held:
   /// writers are mutually excluded, so a relaxed load+store (no RMW, no
   /// lock prefix) counts exactly; stats() snapshots race benignly.
-  static void bump(std::atomic<std::uint64_t>& counter) {
-    counter.store(counter.load(std::memory_order_relaxed) + 1,
+  static void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+    counter.store(counter.load(std::memory_order_relaxed) + n,
                   std::memory_order_relaxed);
   }
 
@@ -345,17 +333,20 @@ class FlatCombiner {
   /// decombination chain evaluated at one site.
   ///
   /// PEER replies publish in TWO phases: first every result is computed
-  /// and the batched value release-stored, and only then the peers' slots
-  /// flip to kDone. A waiter that observes its reply therefore also
-  /// observes a value_ that already includes its own op — the same order
-  /// the tree enforces by applying at the root before distributing down —
-  /// so a read() after a completed fetch_rmw can never miss that op (the
-  /// rw-lock's reader-increment-then-writer-check handshake depends on
-  /// exactly this). The combiner's OWN slot (`own`, may be null) is the
-  /// one exception: its owner is this very thread, so program order
-  /// already sequences the value store before any subsequent read() and
-  /// the reply can flip inline — keeping the uncontended self-serve pass
-  /// at one sweep.
+  /// and the batched value stored, and only then the peers' slots flip to
+  /// kDone. A waiter that observes its reply therefore also observes a
+  /// value_ that already includes its own op — the same order the tree
+  /// enforces by applying at the root before distributing down — so a
+  /// read() after a completed fetch_rmw can never miss that op. The
+  /// combiner's OWN slot (`own`, may be null) is the one exception: its
+  /// owner is this very thread, so program order already sequences the
+  /// value store before any subsequent read() and the reply can flip
+  /// inline — keeping the uncontended self-serve pass at one sweep. The
+  /// value store is seq_cst (one xchg per pass): a Dekker handshake such
+  /// as the rw-lock's also needs each served op ordered before its
+  /// owner's next load of ANOTHER cell — the store-buffering order of the
+  /// RmwBackend ordering contract. ops_/combined_ are counted here, under
+  /// the lock; only the threaded path (own != null) counts combined ops.
   unsigned serve_pass(const Slot* own) {
     Instrument::contended_rmw(&value_, KRS_SITE);
     core::Word v = value_.load(std::memory_order_relaxed);
@@ -376,7 +367,7 @@ class FlatCombiner {
       }
     }
     if (served != 0) {
-      value_.store(v, std::memory_order_release);
+      value_.store(v, std::memory_order_seq_cst);
       for (const unsigned i : served_) {
         Slot& s = slots_[i];
         Instrument::shared_store(&s.seq, KRS_SITE);
@@ -385,6 +376,8 @@ class FlatCombiner {
       }
     }
     bump(passes_);
+    bump(ops_, served);
+    if (own != nullptr) bump(combined_, served_.size());
     return served;
   }
 

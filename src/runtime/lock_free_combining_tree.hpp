@@ -202,22 +202,17 @@ class MappingCombiningTree {
   template <std::invocable<V> F>
   V update_at_root(F&& f) {
     Instrument::acquire(this);
-    Instrument::contended_rmw(&root_, KRS_SITE);
-    lock_root();
-    const V prior = root_.load(std::memory_order_relaxed);
-    root_.store(std::forward<F>(f)(prior), std::memory_order_release);
-    unlock_root();
-    root_applies_.fetch_add(1, std::memory_order_relaxed);
+    const V prior = root_rmw(std::forward<F>(f));
     Instrument::release(this);
     return prior;
   }
 
   /// Atomic snapshot of the current value. The root cell is a single
-  /// atomic word updated only under the root lock bit, so a bare acquire
+  /// atomic word updated only under the root lock bit, so a bare seq_cst
   /// load is a coherent (and per-reader monotone) snapshot — no lock.
   [[nodiscard]] V read() const {
     Instrument::shared_load(&root_, KRS_SITE);
-    return root_.load(std::memory_order_acquire);
+    return root_.load(std::memory_order_seq_cst);
   }
 
   [[nodiscard]] unsigned width() const noexcept { return width_; }
@@ -525,12 +520,20 @@ class MappingCombiningTree {
 
   /// Root case: apply the combined mapping under the root lock bit.
   V apply_at_root(const M& c) {
+    return root_rmw([&c](const V& prior) { return c.apply(prior); });
+  }
+
+  /// The one root application: a seq_cst store (the RmwBackend ordering
+  /// contract) and the root_applies_ count, both under the root lock.
+  template <typename F>
+  V root_rmw(F&& f) {
     Instrument::contended_rmw(&root_, KRS_SITE);
     lock_root();
     const V prior = root_.load(std::memory_order_relaxed);
-    root_.store(c.apply(prior), std::memory_order_release);
+    root_.store(std::forward<F>(f)(prior), std::memory_order_seq_cst);
+    root_applies_.store(root_applies_.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
     unlock_root();
-    root_applies_.fetch_add(1, std::memory_order_relaxed);
     return prior;
   }
 

@@ -27,16 +27,19 @@
 //                        paths, which combine.
 //   b.load(c), b.store(c, v)
 //
-// Two backends ship:
+// Ordering contract: every update (fetch paths, fetch_rmw, a successful
+// compare_exchange) and every load is seq_cst — one total order across
+// all cells, the paper's serialization principle in the language memory
+// model. The §6 Dekker handshakes rely on it: the rw-lock's "add to
+// readers, then load writer" against "set writer, then load readers" must
+// never both miss (the store-buffering outcome). store() is a release: a
+// reset or an unlock, never the first half of a handshake.
 //
-//   * AtomicBackend — hardware fetch-and-θ where the instruction exists
-//     (std::atomic fetch_add/fetch_or/...), a CAS loop applying
-//     m.apply(old) otherwise. This is the §2 "memory does the RMW" model
-//     on a real coherence protocol.
-//   * CombiningBackend (combining_backend.hpp) — every operation funnels
-//     through a MappingCombiningTree<core::AnyRmw>, so concurrent
-//     operations on one hot cell combine pairwise on the way to the root
-//     (§4.2) instead of serializing on the coherence protocol.
+// This header ships AtomicBackend: hardware fetch-and-θ where the
+// instruction exists, a CAS loop applying m.apply(old) otherwise — the §2
+// "memory does the RMW" model on a real coherence protocol. The combining
+// tree, flat combiner, simulated machine, sharded and lock substrates
+// implement the same concept in their own headers.
 //
 // Instrumentation: backends carry the Instrument policy and publish the
 // happens-before edges for their cells — a release before every
@@ -126,10 +129,10 @@ struct OrdinalGuard {
 template <typename AtomicLike, typename Backoff = SpinYieldWait>
 Word paced_cas_rmw(AtomicLike& word, const core::AnyRmw& m,
                    Backoff bo = Backoff{}) {
-  Word old = word.load(std::memory_order_acquire);
+  Word old = word.load(std::memory_order_seq_cst);
   while (!word.compare_exchange_weak(old, m.apply(old),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
+                                     std::memory_order_seq_cst,
+                                     std::memory_order_seq_cst)) {
     bo.pause();
   }
   return old;
@@ -187,35 +190,35 @@ class BasicAtomicBackend {
   Word fetch_add(Cell& c, Word v) const {
     Instrument::release(&c);
     Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_add(v, std::memory_order_acq_rel);
+    Word prior = c.word.fetch_add(v, std::memory_order_seq_cst);
     Instrument::acquire(&c);
     return prior;
   }
   Word fetch_or(Cell& c, Word v) const {
     Instrument::release(&c);
     Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_or(v, std::memory_order_acq_rel);
+    Word prior = c.word.fetch_or(v, std::memory_order_seq_cst);
     Instrument::acquire(&c);
     return prior;
   }
   Word fetch_and(Cell& c, Word v) const {
     Instrument::release(&c);
     Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_and(v, std::memory_order_acq_rel);
+    Word prior = c.word.fetch_and(v, std::memory_order_seq_cst);
     Instrument::acquire(&c);
     return prior;
   }
   Word fetch_xor(Cell& c, Word v) const {
     Instrument::release(&c);
     Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_xor(v, std::memory_order_acq_rel);
+    Word prior = c.word.fetch_xor(v, std::memory_order_seq_cst);
     Instrument::acquire(&c);
     return prior;
   }
   Word exchange(Cell& c, Word v) const {
     Instrument::release(&c);
     Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.exchange(v, std::memory_order_acq_rel);
+    Word prior = c.word.exchange(v, std::memory_order_seq_cst);
     Instrument::acquire(&c);
     return prior;
   }
@@ -239,15 +242,14 @@ class BasicAtomicBackend {
     Instrument::release(&c);
     Instrument::contended_rmw(&c.word, KRS_SITE);
     bool ok = c.word.compare_exchange_strong(expected, desired,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire);
+                                             std::memory_order_seq_cst);
     Instrument::acquire(&c);
     return ok;
   }
 
   Word load(const Cell& c) const {
     Instrument::shared_load(&c.word, KRS_SITE);
-    Word v = c.word.load(std::memory_order_acquire);
+    Word v = c.word.load(std::memory_order_seq_cst);
     Instrument::acquire(&c);
     return v;
   }

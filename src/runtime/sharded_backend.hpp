@@ -55,8 +55,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "analysis/instrument.hpp"
@@ -65,7 +66,6 @@
 #include "runtime/cacheline.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/topology.hpp"
-#include "runtime/wait_policy.hpp"
 
 namespace krs::runtime {
 
@@ -164,8 +164,7 @@ struct ShardedCellStats {
   }
 };
 
-template <RmwBackend Inner, typename Instrument = analysis::DefaultInstrument,
-          WaitPolicy Policy = SpinYieldWait>
+template <RmwBackend Inner, typename Instrument = analysis::DefaultInstrument>
 class BasicShardedBackend {
  public:
   static constexpr unsigned kDefaultShards = 8;
@@ -206,28 +205,43 @@ class BasicShardedBackend {
 
   struct Cell {
     Cell(const BasicShardedBackend& b, Word initial)
-        : home(b.shard_of()), ops(b.shards_) {
-      // Construct the S inner cells in place (inner cells are pinned —
-      // deque never relocates); the initial value lands in the HOME shard
-      // (the shard the constructing context routes to, so a
-      // single-threaded script sees unsharded semantics), identity
-      // elsewhere, keeping the aggregate equal to `initial`.
-      for (unsigned s = 0; s < b.shards_; ++s) {
-        slots.emplace_back(b.inner_,
-                           s == home ? initial : b.agg_.identity);
+        : slots(std::allocator<Slot>{}.allocate(b.shards_), b.shards_) {
+      // Construct the S slots in place, in one block (inner cells are
+      // pinned); the initial value lands in the HOME shard (the shard the
+      // constructing context routes to, so a single-threaded script sees
+      // unsharded semantics), identity elsewhere, keeping the aggregate
+      // equal to `initial`.
+      const unsigned home = b.shard_of();
+      std::size_t built = 0;
+      try {
+        for (; built < slots.size(); ++built) {
+          std::construct_at(&slots[built], b.inner_,
+                            built == home ? initial : b.agg_.identity);
+        }
+      } catch (...) {
+        release(built);
+        throw;
       }
     }
+    ~Cell() { release(slots.size()); }
     Cell(const Cell&) = delete;
     Cell& operator=(const Cell&) = delete;
 
     struct alignas(kCacheLine) Slot {
       Slot(const Inner& b, Word v) : cell(b, v) {}
       typename Inner::Cell cell;
+      std::atomic<std::uint64_t> ops{0};
     };
 
-    std::deque<Slot> slots;  ///< S cache-line-isolated inner cells
-    unsigned home;           ///< shard holding the initial value
-    std::deque<std::atomic<std::uint64_t>> ops;  ///< per-shard telemetry
+    /// S cache-line-aligned slots in one block: each shard's inner cell
+    /// and its routed-op count sit on lines no other shard touches.
+    std::span<Slot> slots;
+
+   private:
+    void release(std::size_t built) noexcept {
+      std::destroy_n(slots.data(), built);
+      std::allocator<Slot>{}.deallocate(slots.data(), slots.size());
+    }
   };
 
   Word fetch_add(Cell& c, Word v) const {
@@ -263,16 +277,6 @@ class BasicShardedBackend {
     return acc;
   }
 
-  /// Policy-paced quiesce: wait until the aggregate equals `expected`.
-  /// The fold is not a snapshot, so this is a convergence wait (all
-  /// updaters done, or the expected total provably reached) — the
-  /// sharded analogue of spinning on a single cell's value, with the
-  /// wait routed through the WaitPolicy seam instead of a private loop.
-  void await_aggregate(const Cell& c, Word expected) const {
-    Policy pol;
-    while (load(c) != expected) pol.pause();
-  }
-
   /// Quiescing reset: identity into every shard, v into the routed one.
   void store(Cell& c, Word v) const {
     const unsigned target = shard_of();
@@ -305,8 +309,8 @@ class BasicShardedBackend {
   [[nodiscard]] ShardedCellStats cell_stats(const Cell& c) const {
     ShardedCellStats out;
     out.shard_ops.reserve(shards_);
-    for (const auto& n : c.ops) {
-      out.shard_ops.push_back(n.load(std::memory_order_relaxed));
+    for (const auto& slot : c.slots) {
+      out.shard_ops.push_back(slot.ops.load(std::memory_order_relaxed));
     }
     return out;
   }
@@ -320,9 +324,9 @@ class BasicShardedBackend {
 
  private:
   typename Inner::Cell& routed(Cell& c) const {
-    const unsigned s = shard_of();
-    c.ops[s].fetch_add(1, std::memory_order_relaxed);
-    return c.slots[s].cell;
+    typename Cell::Slot& slot = c.slots[shard_of()];
+    slot.ops.fetch_add(1, std::memory_order_relaxed);
+    return slot.cell;
   }
 
   Inner inner_;

@@ -18,7 +18,10 @@
 //    reply, value by value;
 //  * a deterministic race_explorer model of the declined-composition
 //    fetch_rmw path, with a control showing the verdict comes from the
-//    modeled edges.
+//    modeled edges;
+//  * a store-buffering litmus (StoreBuffering.*) pinning the RmwBackend
+//    ordering contract: an update is ordered before its caller's next
+//    load of another cell, on every real-thread substrate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,11 +42,13 @@
 #include "runtime/flat_combining.hpp"
 #include "runtime/full_empty_cell.hpp"
 #include "runtime/group_lock.hpp"
+#include "runtime/local_spin_locks.hpp"
 #include "runtime/lock_free_combining_tree.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/sharded_backend.hpp"
 #include "runtime/sim_backend.hpp"
+#include "runtime/wait_policy.hpp"
 #include "verify/race_explorer.hpp"
 #include "workload/path_scenarios.hpp"
 
@@ -954,6 +959,97 @@ TEST(CombineTelemetry, DlsFoldAtDefaultBudgetCombines) {
   EXPECT_EQ(st.folds, 1u);
   EXPECT_EQ(st.declined_folds, 0u);
   EXPECT_EQ(st.root_applies, 1u);
+}
+
+// root_applies is counted under the root lock, so once the threads are
+// joined the tree's ops (root applies + folds) equal the ops issued,
+// exactly — compare_exchange's serialized root applies included.
+TEST(CombineTelemetry, JoinedThreadsCountEveryOpExactly) {
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kAdds = 2000;
+  constexpr unsigned kCas = 200;
+  CombiningBackend b(kThreads);
+  CombiningBackend::Cell c(b, 0);
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&] {
+        for (unsigned i = 0; i < kAdds; ++i) b.fetch_add(c, 1);
+        for (unsigned i = 0; i < kCas; ++i) {
+          Word expect = b.load(c);
+          (void)b.compare_exchange(c, expect, expect);  // may fail: counted
+        }
+      });
+    }
+  }
+  EXPECT_EQ(b.cell_stats(c).ops, std::uint64_t{kThreads} * (kAdds + kCas));
+  EXPECT_EQ(b.load(c), Word{kThreads} * kAdds);
+}
+
+// --- store-buffering litmus: the RmwBackend ordering contract ----------------
+
+// Two threads in lock step. Iteration i: thread 0 runs fetch_add(x, 1)
+// then loads y; thread 1 runs fetch_add(y, 1) then loads x. Both cells
+// hold i when the iteration starts, so each load returns i (it missed the
+// other thread's add) or i + 1. The contract (every update and load in one
+// total order) forbids BOTH loads missing — the store-buffering outcome,
+// and exactly the one that lets BasicRwLock's reader-add/writer-check
+// handshake admit a writer beside a reader. A substrate whose update is
+// not ordered before its caller's next load fails here: on a 4-vCPU x86
+// host, hundreds of the 100,000 iterations show both loads missing.
+template <typename B>
+void store_buffering_forbidden(B backend) {
+  constexpr unsigned kIters = 100000;
+  typename B::Cell x(backend, 0);
+  typename B::Cell y(backend, 0);
+  std::vector<Word> seen_y(kIters);
+  std::vector<Word> seen_x(kIters);
+  std::atomic<unsigned> arrivals{0};
+  const auto lockstep = [&](unsigned i) {
+    arrivals.fetch_add(1);
+    SpinYieldWait pol;
+    while (arrivals.load() < 2 * (i + 1)) pol.pause();
+  };
+  {
+    std::jthread t0([&] {
+      for (unsigned i = 0; i < kIters; ++i) {
+        lockstep(i);
+        backend.fetch_add(x, 1);
+        seen_y[i] = backend.load(y);
+      }
+    });
+    std::jthread t1([&] {
+      for (unsigned i = 0; i < kIters; ++i) {
+        lockstep(i);
+        backend.fetch_add(y, 1);
+        seen_x[i] = backend.load(x);
+      }
+    });
+  }
+  unsigned both_missed = 0;
+  unsigned out_of_range = 0;
+  for (unsigned i = 0; i < kIters; ++i) {
+    if (seen_y[i] == i && seen_x[i] == i) ++both_missed;
+    if (seen_y[i] - i > 1 || seen_x[i] - i > 1) ++out_of_range;
+  }
+  EXPECT_EQ(both_missed, 0u) << "of " << kIters << " iterations";
+  EXPECT_EQ(out_of_range, 0u);
+  EXPECT_EQ(backend.load(x), Word{kIters});
+  EXPECT_EQ(backend.load(y), Word{kIters});
+}
+
+TEST(StoreBuffering, Atomic) { store_buffering_forbidden(AtomicBackend{}); }
+TEST(StoreBuffering, Combining) {
+  store_buffering_forbidden(CombiningBackend{2});
+}
+TEST(StoreBuffering, Flat) {
+  store_buffering_forbidden(FlatCombiningBackend{2});
+}
+TEST(StoreBuffering, ShardedAtomic) {
+  store_buffering_forbidden(ShardedBackend<AtomicBackend>{AtomicBackend{}, 2});
+}
+TEST(StoreBuffering, McsLock) {
+  store_buffering_forbidden(LockBackend<McsLock>{});
 }
 
 }  // namespace

@@ -286,6 +286,47 @@ TEST(ShardedSemantics, PerShardTelemetryTracksRoutedTraffic) {
   EXPECT_DOUBLE_EQ(stats.max_share(), 0.4);
 }
 
+// Shard s's op counter must sit on shard s's own slot lines and on no
+// other shard's: a routed op then writes only lines its shard owns, and
+// the telemetry cannot re-create the hot spot the shards spread.
+template <typename Inner>
+void op_counters_on_own_slot_lines(Inner inner) {
+  using B = ShardedBackend<Inner>;
+  using Slot = typename B::Cell::Slot;
+  constexpr unsigned kShards = 4;
+  const B b{std::move(inner), kShards};
+  typename B::Cell cell(b, 0);
+  const auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / kCacheLine;
+  };
+  const auto first_line = [&](unsigned s) { return line(&cell.slots[s]); };
+  const auto last_line = [&](unsigned s) {
+    return line(reinterpret_cast<const char*>(&cell.slots[s]) +
+                sizeof(Slot) - 1);
+  };
+  ASSERT_EQ(cell.slots.size(), kShards);
+  for (unsigned s = 0; s < kShards; ++s) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&cell.slots[s]) % kCacheLine,
+              0u);
+    const std::uintptr_t ops = line(&cell.slots[s].ops);
+    EXPECT_GE(ops, first_line(s)) << "shard " << s;
+    EXPECT_LE(ops, last_line(s)) << "shard " << s;
+    for (unsigned t = 0; t < kShards; ++t) {
+      if (t == s) continue;
+      EXPECT_TRUE(ops < first_line(t) || ops > last_line(t))
+          << "shard " << s << "'s counter on shard " << t << "'s lines";
+    }
+  }
+}
+
+TEST(ShardedLayout, OpCounterOnOwnSlotLinesAtomicInner) {
+  op_counters_on_own_slot_lines(AtomicBackend{});
+}
+
+TEST(ShardedLayout, OpCounterOnOwnSlotLinesFlatInner) {
+  op_counters_on_own_slot_lines(FlatCombiningBackend{4});
+}
+
 // --- aggregation-read linearization model ------------------------------------
 
 using krs::verify::EAcquire;
