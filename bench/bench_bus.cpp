@@ -54,7 +54,7 @@ Row run(std::uint32_t banks, core::Tick service_interval, double hot,
   }
   const auto s = m.stats();
   return {s.cycles, s.throughput_ops_per_cycle, s.latency.mean(),
-          s.queue_combines};
+          s.combines};
 }
 
 }  // namespace

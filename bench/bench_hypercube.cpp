@@ -50,7 +50,8 @@ Row run(unsigned dims, double hot, net::CombinePolicy policy) {
     std::exit(1);
   }
   const auto s = m.stats();
-  return {s.latency.mean(), s.throughput_ops_per_cycle, s.combines, s.hops};
+  return {s.latency.mean(), s.throughput_ops_per_cycle, s.combines,
+          s.request_messages};
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 // When the reply ⟨id1, val⟩ returns, the switch forwards ⟨id1, val⟩ toward
 // the first requester and ⟨id2, f(val)⟩ toward the second.
 //
-// These helpers implement exactly that algebra for any Rmw family; the
-// network switch (src/net) supplies queues, wait buffers, and routing.
+// These helpers implement exactly that algebra for any Rmw family;
+// net::Combiner adds the wait buffer, and its callers queues and routing.
 // Because a queued request that has already combined can combine again
 // (k-way combining, and combining of already-combined requests), a record's
 // `first_map` is the queued request's mapping *at the moment of this

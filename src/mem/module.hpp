@@ -24,12 +24,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/combining.hpp"
 #include "core/rmw.hpp"
 #include "core/types.hpp"
+#include "net/combiner.hpp"
 #include "net/packet.hpp"
-#include "net/switch.hpp"
-#include "net/wait_table.hpp"
 #include "util/assert.hpp"
 #include "util/ring.hpp"
 
@@ -101,7 +99,11 @@ class MemoryModule {
   using Rev = net::RevPacket<M>;
 
   MemoryModule(ModuleConfig cfg, Value initial)
-      : cfg_(cfg), initial_(initial) {
+      : cfg_(cfg),
+        initial_(initial),
+        combiner_(cfg.combine_in_queue ? net::CombinePolicy::kUnlimited
+                                       : net::CombinePolicy::kNone,
+                  net::Combiner<M>::kNoBound) {
     in_q_.reserve(cfg_.queue_capacity);
     pending_.reserve(cfg_.queue_capacity);
   }
@@ -111,7 +113,8 @@ class MemoryModule {
   [[nodiscard]] bool can_accept(const Fwd& pkt) const {
     if (pkt.kind == net::TxnKind::kWriteUnlock) return true;
     if (in_q_.size() < cfg_.queue_capacity) return true;
-    return would_combine(pkt);
+    const Fwd* queued = combiner_.partner(in_q_, pkt);
+    return queued != nullptr && try_compose(queued->req.f, pkt.req.f);
   }
 
   /// Accept a packet. If queue combining is enabled and the arrival
@@ -119,34 +122,21 @@ class MemoryModule {
   /// *events (for the Theorem 4.2 expansion) and no queue slot is used.
   void accept(Fwd&& pkt, std::vector<net::CombineEvent>* events = nullptr) {
     KRS_EXPECTS(can_accept(pkt));
-    if (cfg_.combine_in_queue && pkt.kind == net::TxnKind::kRmw) {
-      // Youngest-match rule, as in the switch (preserves M2.3).
-      for (std::size_t i = in_q_.size(); i-- > 0;) {
-        auto& queued = in_q_[i];
-        if (queued.kind != net::TxnKind::kRmw ||
-            queued.req.addr != pkt.req.addr) {
-          continue;
-        }
-        auto rec = core::try_combine(queued.req, pkt.req);
-        if (!rec) break;
-        wait_records_.append(queued.req.id, {*rec, pkt.path});
-        ++stats_.queue_combines;
-        if (events != nullptr) {
-          events->push_back({rec->representative, rec->second, pkt.req.addr});
-        }
-        return;
-      }
+    if (combiner_.offer(in_q_, pkt, net::Combiner<M>::kNoHop, events)) {
+      ++stats_.queue_combines;
+      return;
     }
     in_q_.push_back(std::move(pkt));
   }
 
-  /// Service step: process at most one request, then emit replies due this
-  /// cycle into `out` (so a latency-0 configuration replies in the same
-  /// cycle it services).
-  void tick(Tick now, std::vector<Rev>& out) {
+  /// Service step: process at most one request, then append replies due
+  /// this cycle to `out`, any container of Rev with push_back (so a
+  /// latency-0 configuration replies in the same cycle it services).
+  template <typename Out>
+  void tick(Tick now, Out& out) {
     service_one(now);
-    while (!pending_.empty() && pending_.front().due <= now) {
-      out.push_back(std::move(pending_.front().pkt));
+    while (!pending_.empty() && pending_.front().reply.completed <= now) {
+      out.push_back(std::move(pending_.front()));
       pending_.pop_front();
     }
   }
@@ -183,7 +173,7 @@ class MemoryModule {
         rev.path = std::move(pkt.path);
         rev.nack = true;
         ++stats_.lock_refused;
-        pending_.push_back({now + cfg_.latency, std::move(rev)});
+        pending_.push_back(std::move(rev));
         return;
       }
       ++stats_.locked_stall_cycles;
@@ -214,7 +204,7 @@ class MemoryModule {
 
   [[nodiscard]] bool idle() const noexcept {
     return in_q_.empty() && pending_.empty() && !locked_by_.has_value() &&
-           wait_records_.empty() && parked_.empty();
+           combiner_.empty() && parked_.empty();
   }
 
   /// §5.5 queueing: operations currently parked at this module. A machine
@@ -227,24 +217,6 @@ class MemoryModule {
   }
 
  private:
-  struct Pending {
-    Tick due;
-    Rev pkt;
-  };
-
-  [[nodiscard]] bool would_combine(const Fwd& pkt) const {
-    if (!cfg_.combine_in_queue || pkt.kind != net::TxnKind::kRmw) return false;
-    for (std::size_t i = in_q_.size(); i-- > 0;) {
-      const auto& queued = in_q_[i];
-      if (queued.kind != net::TxnKind::kRmw ||
-          queued.req.addr != pkt.req.addr) {
-        continue;
-      }
-      return try_compose(queued.req.f, pkt.req.f).has_value();
-    }
-    return false;
-  }
-
   void service(Fwd&& pkt, Tick now) {
     Value& cell = cell_ref(pkt.req.addr);
     // §5.5 queueing: park a guard-failed conditional until the location
@@ -281,22 +253,13 @@ class MemoryModule {
         ++stats_.write_unlocks;
         break;
     }
-    const Value old_value = rev.reply.value;
-    const ReqId rep_id = rev.reply.id;
-    const bool was_rmw = pkt.kind == net::TxnKind::kRmw;
-    pending_.push_back({now + cfg_.latency, std::move(rev)});
-    // Decombine queue-combined requests (after the representative's reply,
-    // so replies leave in combine order): each absorbed request gets
-    // f(old) along its own stored path, as at a network switch.
-    if (was_rmw) {
-      wait_records_.consume(rep_id, [&](WaitRecord& record) {
-        Rev second;
-        second.reply.id = record.rec.second;
-        second.reply.value = core::decombine(record.rec, old_value);
-        second.reply.completed = now + cfg_.latency;
-        second.path = record.path;
-        pending_.push_back({now + cfg_.latency, std::move(second)});
-      });
+    // Decombine queue-combined requests after the representative's reply:
+    // each absorbed request gets f(old) along its own stored path.
+    Rev rep = rev;
+    pending_.push_back(std::move(rev));
+    if (pkt.kind == net::TxnKind::kRmw) {
+      combiner_.decombine(
+          rep, [&](Rev&& second) { pending_.push_back(std::move(second)); });
     }
     wake_parked(pkt.req.addr);
   }
@@ -330,13 +293,13 @@ class MemoryModule {
     return it->second;
   }
 
-  using WaitRecord = typename net::WaitTable<M>::Record;
-
   ModuleConfig cfg_;
   Value initial_;
   util::RingBuffer<Fwd> in_q_;
-  util::RingBuffer<Pending> pending_;
-  net::WaitTable<M> wait_records_;
+  /// Serviced replies in emission order; each is due at its completion
+  /// stamp (service cycle + latency).
+  util::RingBuffer<Rev> pending_;
+  net::Combiner<M> combiner_;
   std::unordered_map<Addr, std::deque<Fwd>> parked_;
   std::unordered_map<Addr, Value> cells_;
   std::optional<std::uint32_t> locked_by_;

@@ -10,10 +10,13 @@
 // is precisely how combining relieves hot-spot congestion.
 //
 // Reverse direction: a reply arriving for id first decombines: for every
-// wait-buffer record saved under id (in LIFO order of the values they
-// captured — order is immaterial since each targets a distinct requester),
+// wait-buffer record saved under id, in the order the records were saved,
 // a new reply ⟨id2, f(val)⟩ is emitted along the absorbed request's own
 // path. The original reply then continues along its popped path.
+//
+// Both directions are net::Combiner's rule, shared with the memory
+// module's FIFO and the hypercube router; the §5.1 order reversal is the
+// one switch-only branch.
 //
 // Policy knobs reproduce the design space of §7 ("one can use combining
 // logic that detects only part of the combinable pairs"): combining can be
@@ -25,22 +28,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/combining.hpp"
 #include "core/load_store_swap.hpp"
 #include "core/rmw.hpp"
-#include "core/types.hpp"
+#include "net/combiner.hpp"
 #include "net/packet.hpp"
-#include "net/wait_table.hpp"
 #include "util/assert.hpp"
 #include "util/ring.hpp"
 
 namespace krs::net {
-
-enum class CombinePolicy : std::uint8_t {
-  kNone,      ///< never combine (baseline network)
-  kPairwise,  ///< a queued message combines at most once per switch
-  kUnlimited  ///< unbounded fan-in per queued message
-};
 
 struct SwitchConfig {
   CombinePolicy policy = CombinePolicy::kUnlimited;
@@ -69,22 +64,11 @@ struct SwitchStats {
   std::uint64_t max_queue_depth = 0;  ///< deepest request FIFO ever seen
 };
 
-/// One combine event, reported to the machine-level log so the verifier can
-/// expand combined messages into the request sequences they represent.
-struct CombineEvent {
-  core::ReqId representative;
-  core::ReqId absorbed;
-  core::Addr addr;
-  /// §5.1 reversal: the absorbed request's effect logically PRECEDES the
-  /// representative's (the verifier expands it first).
-  bool reversed = false;
-};
-
 template <core::Rmw M>
 class CombiningSwitch {
  public:
   explicit CombiningSwitch(const SwitchConfig& cfg = {})
-      : cfg_(cfg), wait_buffer_(cfg.wait_buffer_capacity) {
+      : cfg_(cfg), combiner_(cfg.policy, cfg.wait_buffer_capacity) {
     // Size the forward FIFOs to their capacity bound up front. The reverse
     // FIFOs can burst past it (decombination fan-out) — they grow on first
     // use and, like all ring buffers here, never shrink, so the steady
@@ -101,45 +85,19 @@ class CombiningSwitch {
                      std::vector<CombineEvent>* events) {
     KRS_EXPECTS(in_port < 2 && out_port < 2);
     auto& q = fwd_out_[out_port];
-    if (pkt.kind == TxnKind::kRmw && cfg_.policy != CombinePolicy::kNone) {
-      // Combine only with the YOUNGEST queued request for this address, and
-      // give up if that one declines. Combining with an older entry could
-      // sequence this arrival ahead of an intervening request from the same
-      // processor to the same location, violating M2.3 — the unique-path
-      // network keeps same-source/same-address requests in one queue, so
-      // "youngest match" preserves their order unconditionally.
-      for (std::size_t i = q.size(); i-- > 0;) {
-        auto& queued = q[i];
-        if (queued.kind != TxnKind::kRmw || queued.req.addr != pkt.req.addr) {
-          continue;
-        }
-        if (cfg_.policy == CombinePolicy::kPairwise &&
-            wait_buffer_.fan_in(queued.req.id) >= 1) {
-          ++stats_.combine_declined_policy;
-          break;
-        }
-        if (wait_buffer_.records() >= cfg_.wait_buffer_capacity) {
-          ++stats_.combine_declined_waitbuf;
-          break;
-        }
-        // §5.1 order reversal, when enabled and applicable (load/store/swap
-        // family, both messages uncombined originals of distinct
-        // processors, and the reversible table actually reverses).
-        if (try_reversed_combine(queued, pkt, in_port, events)) return true;
-        auto rec = core::try_combine(queued.req, pkt.req);
-        if (!rec) break;  // family declined (e.g. Möbius overflow)
-        queued.combined = true;
-        pkt.path.push_back(static_cast<std::uint8_t>(in_port));
-        wait_buffer_.append(queued.req.id,
-                            {*rec, pkt.path, /*reversed=*/false, M{}});
+    CombineDecline why{};
+    if (FwdPacket<M>* queued = combiner_.partner(q, pkt, &why)) {
+      if (try_reversed_combine(*queued, pkt, in_port, events) ||
+          combiner_.combine(*queued, pkt, static_cast<int>(in_port), events)) {
         stats_.max_wait_buffer = std::max<std::uint64_t>(
-            stats_.max_wait_buffer, wait_buffer_.records());
+            stats_.max_wait_buffer, combiner_.records());
         ++stats_.combines;
-        if (events != nullptr) {
-          events->push_back({queued.req.id, rec->second, pkt.req.addr, false});
-        }
         return true;
       }
+    } else if (why == CombineDecline::kPolicy) {
+      ++stats_.combine_declined_policy;
+    } else if (why == CombineDecline::kBound) {
+      ++stats_.combine_declined_waitbuf;
     }
     if (q.size() >= cfg_.queue_capacity) {
       ++stats_.stalls;
@@ -176,7 +134,9 @@ class CombiningSwitch {
   /// the wait buffer and stages all resulting replies on the reverse
   /// queues of their input ports.
   void accept_reply(RevPacket<M>&& pkt) {
-    deliver_reverse(std::move(pkt));
+    combiner_.decombine(pkt,
+                        [&](RevPacket<M>&& r) { route_out(std::move(r)); });
+    route_out(std::move(pkt));
   }
 
   [[nodiscard]] const RevPacket<M>* peek_reply(unsigned in_port) const {
@@ -197,73 +157,34 @@ class CombiningSwitch {
   /// True when no request or reply traffic is pending in this switch.
   [[nodiscard]] bool idle() const noexcept {
     return fwd_out_[0].empty() && fwd_out_[1].empty() && rev_out_[0].empty() &&
-           rev_out_[1].empty() && wait_buffer_.empty();
+           rev_out_[1].empty() && combiner_.empty();
   }
 
   [[nodiscard]] std::size_t wait_buffer_size() const noexcept {
-    return wait_buffer_.records();
+    return combiner_.records();
   }
 
  private:
-  using WaitRecord = typename WaitTable<M>::Record;
-
   /// Attempt the §5.1 reversed combination of `pkt` (an arriving store)
-  /// into `queued` (a load/swap). Only defined for the LssOp family.
+  /// into `queued` (a load/swap), both uncombined originals of distinct
+  /// processors. Only defined for the LssOp family.
   bool try_reversed_combine(FwdPacket<M>& queued, FwdPacket<M>& pkt,
                             unsigned in_port,
                             std::vector<CombineEvent>* events) {
     if constexpr (std::same_as<M, core::LssOp>) {
-      if (!cfg_.allow_order_reversal) return false;
-      if (queued.combined || pkt.combined) return false;
-      if (queued.req.id.proc == pkt.req.id.proc) return false;
-      if (wait_buffer_.records() >= cfg_.wait_buffer_capacity) return false;
+      if (!cfg_.allow_order_reversal || queued.combined || pkt.combined ||
+          queued.req.id.proc == pkt.req.id.proc) {
+        return false;
+      }
       const auto r = core::compose_reversible(queued.req.f, pkt.req.f);
       if (!r.reversed) return false;
-      WaitRecord wr;
-      wr.rec = core::CombineRecord<M>{queued.req.id, pkt.req.id, M{}};
-      pkt.path.push_back(static_cast<std::uint8_t>(in_port));
-      wr.path = pkt.path;
-      wr.reversed = true;
-      wr.absorbed_map = pkt.req.f;
-      queued.req.f = r.forwarded;
-      queued.combined = true;
-      wait_buffer_.append(queued.req.id, std::move(wr));
-      stats_.max_wait_buffer = std::max<std::uint64_t>(stats_.max_wait_buffer,
-                                                       wait_buffer_.records());
-      ++stats_.combines;
+      combiner_.combine_reversed(queued, pkt, r.forwarded,
+                                 static_cast<int>(in_port), events);
       ++stats_.reversed_combines;
-      if (events != nullptr) {
-        events->push_back({queued.req.id, pkt.req.id, pkt.req.addr, true});
-      }
       return true;
     } else {
-      (void)queued;
-      (void)pkt;
-      (void)in_port;
-      (void)events;
       return false;
     }
-  }
-
-  void deliver_reverse(RevPacket<M>&& pkt) {
-    // Decombine first: every record saved under this id spawns a reply.
-    const auto original_val = pkt.reply.value;
-    wait_buffer_.consume(pkt.reply.id, [&](WaitRecord& wr) {
-      RevPacket<M> second;
-      second.reply.id = wr.rec.second;
-      second.reply.value =
-          wr.reversed ? original_val : core::decombine(wr.rec, original_val);
-      second.reply.completed = pkt.reply.completed;
-      second.path = wr.path;
-      second.nack = pkt.nack;
-      if (wr.reversed) {
-        // The representative executed after the absorbed store: its
-        // reply is the value that store wrote.
-        pkt.reply.value = wr.absorbed_map.apply(original_val);
-      }
-      route_out(std::move(second));
-    });
-    route_out(std::move(pkt));
   }
 
   void route_out(RevPacket<M>&& pkt) {
@@ -278,7 +199,7 @@ class CombiningSwitch {
   SwitchConfig cfg_;
   util::RingBuffer<FwdPacket<M>> fwd_out_[2];
   util::RingBuffer<RevPacket<M>> rev_out_[2];
-  WaitTable<M> wait_buffer_;
+  Combiner<M> combiner_;
   SwitchStats stats_;
 };
 

@@ -95,7 +95,6 @@ class WaitTable {
   }
 
   [[nodiscard]] std::size_t records() const noexcept { return records_; }
-  [[nodiscard]] std::size_t entries() const noexcept { return entries_; }
   [[nodiscard]] bool empty() const noexcept { return records_ == 0; }
 
  private:

@@ -8,9 +8,9 @@
 // e-cube (dimension-order) routing — a unique, deterministic path, so the
 // §4.1 assumptions (non-overtaking, reply retraces the path) hold exactly
 // as in the indirect network. Each router output link carries a combining
-// FIFO with the same youngest-match rule, combine policy, record-counted
-// wait-buffer bound and decombination as the 2×2 switch; the Theorem 4.2
-// checker applies unchanged.
+// FIFO that calls the 2×2 switch's rule (net::Combiner: youngest match,
+// combine policy, record-counted wait-buffer bound, decombination); the
+// Theorem 4.2 checker applies unchanged.
 //
 // Engine layout (sim/engine.hpp): one shard per node. CONSUME ingests the
 // node's staging slots (replies, then local memory, then requests, then
@@ -27,19 +27,15 @@
 #include <memory>
 #include <vector>
 
-#include "core/combining.hpp"
 #include "core/rmw.hpp"
 #include "core/types.hpp"
 #include "mem/module.hpp"
+#include "net/combiner.hpp"
 #include "net/packet.hpp"
-#include "net/switch.hpp"
-#include "net/wait_table.hpp"
-#include "proc/processor.hpp"
 #include "runtime/cacheline.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
-#include "util/stats.hpp"
 
 namespace krs::sim {
 
@@ -54,43 +50,30 @@ struct HypercubeConfig {
   std::size_t wait_buffer_capacity = 64;
 };
 
-struct HypercubeStats {
-  core::Tick cycles = 0;
-  std::uint64_t ops_completed = 0;
-  std::uint64_t combines = 0;
-  std::uint64_t hops = 0;  ///< request link traversals
-  util::LogHistogram latency;
-  double throughput_ops_per_cycle = 0.0;
-};
-
 template <core::Rmw M>
-class HypercubeMachine {
+class HypercubeMachine : public MachineBase<HypercubeMachine<M>, M> {
+  using Base = MachineBase<HypercubeMachine<M>, M>;
+  friend Base;
+
  public:
-  using rmw_type = M;
-  using Value = typename M::value_type;
+  using typename Base::Sources;
   using Fwd = net::FwdPacket<M>;
   using Rev = net::RevPacket<M>;
 
-  HypercubeMachine(HypercubeConfig<M> cfg,
-                   std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources)
-      : cfg_(cfg), sources_(std::move(sources)) {
-    KRS_EXPECTS(cfg_.dimensions >= 1 && cfg_.dimensions <= 10);
-    const std::uint32_t n = nodes();
-    KRS_EXPECTS(sources_.size() == n);
-    node_.resize(n);
-    logs_.resize(n);
-    for (std::uint32_t u = 0; u < n; ++u) {
-      node_[u].memory =
-          std::make_unique<mem::MemoryModule<M>>(cfg_.mem_cfg,
-                                                 cfg_.initial_value);
-      node_[u].proc = std::make_unique<proc::Processor<M>>(
-          u, cfg_.window, /*processor_side=*/false, sources_[u].get());
-      node_[u].out_req.resize(cfg_.dimensions);
-      node_[u].out_rep.resize(cfg_.dimensions);
-      node_[u].in_req.resize(cfg_.dimensions);
-      node_[u].in_rep.resize(cfg_.dimensions);
-      node_[u].wait_buffer =
-          std::make_unique<net::WaitTable<M>>(cfg_.wait_buffer_capacity);
+  HypercubeMachine(HypercubeConfig<M> cfg, Sources sources)
+      : Base(std::move(sources), checked_nodes(cfg.dimensions),
+             checked_nodes(cfg.dimensions), cfg.mem_cfg, cfg.initial_value,
+             cfg.window, /*processor_side=*/false,
+             checked_nodes(cfg.dimensions)),
+        cfg_(cfg),
+        node_(nodes()) {
+    for (auto& nd : node_) {
+      nd.out_req.resize(cfg_.dimensions);
+      nd.out_rep.resize(cfg_.dimensions);
+      nd.in_req.resize(cfg_.dimensions);
+      nd.in_rep.resize(cfg_.dimensions);
+      nd.combiner = std::make_unique<net::Combiner<M>>(
+          cfg_.policy, cfg_.wait_buffer_capacity);
     }
   }
 
@@ -98,60 +81,44 @@ class HypercubeMachine {
     return 1u << cfg_.dimensions;
   }
 
-  [[nodiscard]] std::uint32_t node_of(core::Addr addr) const noexcept {
+  [[nodiscard]] std::uint32_t module_of(core::Addr addr) const noexcept {
     return static_cast<std::uint32_t>(addr & (nodes() - 1));
   }
 
-  /// Advance one cycle (sequential shard order).
-  void tick() {
-    const std::uint32_t n = nodes();
-    for (unsigned ph = 0; ph < kSubphases; ++ph) {
-      for (std::uint32_t u = 0; u < n; ++u) engine_subphase(ph, u);
-    }
-    engine_end_cycle();
+ private:
+  using typename Base::ShardLog;
+  using Base::logs_;
+  using Base::modules_;
+  using Base::now_;
+  using Base::procs_;
+
+  struct alignas(runtime::kCacheLine) Node {
+    /// Per-dimension outgoing FIFOs (request combining happens in
+    /// out_req) and single-slot incoming staging, filled by the neighbor
+    /// across that dimension during PRODUCE, drained here during CONSUME.
+    std::vector<std::deque<Fwd>> out_req;
+    std::vector<std::deque<Rev>> out_rep;
+    std::vector<std::deque<Fwd>> in_req;
+    std::vector<std::deque<Rev>> in_rep;
+    /// Replies destined for the local processor, delivered next cycle.
+    std::deque<Rev> local_rep;
+    /// The local memory's replies due this cycle (reused scratch).
+    std::vector<Rev> mem_out;
+    /// The router's combining rule and its wait buffer.
+    std::unique_ptr<net::Combiner<M>> combiner;
+    /// Shard-local counters, summed by stats() — no shared cells.
+    std::uint64_t combines = 0;
+    std::uint64_t hops = 0;
+  };
+
+  static std::uint32_t checked_nodes(unsigned dimensions) {
+    KRS_EXPECTS(dimensions >= 1 && dimensions <= 10);
+    return 1u << dimensions;
   }
 
-  bool run(core::Tick max_cycles) {
-    return SequentialEngine::run(*this, max_cycles);
-  }
-
-  /// Bit-identical to run() at every worker count.
-  bool run_parallel(core::Tick max_cycles, unsigned workers) {
-    return ParallelEngine(workers).run(*this, max_cycles);
-  }
-
-  // --- engine concept (sim/engine.hpp) ------------------------------------
-
-  [[nodiscard]] std::uint32_t engine_shards() const noexcept {
-    return nodes();
-  }
-  [[nodiscard]] unsigned engine_subphases() const noexcept {
-    return kSubphases;
-  }
-
-  void engine_subphase(unsigned ph, std::uint32_t shard) {
-    if (ph == 0) {
-      consume(shard);
-    } else {
-      produce(shard);
-    }
-  }
-
-  void engine_end_cycle() {
-    for (auto& log : logs_) {
-      combine_log_.insert(combine_log_.end(), log.events.begin(),
-                          log.events.end());
-      log.events.clear();
-      for (auto& op : log.completed) completed_.push_back(op);
-      log.completed.clear();
-    }
-    ++now_;
-  }
-
-  [[nodiscard]] bool drained() const {
+  [[nodiscard]] bool interconnect_drained() const {
     for (const auto& nd : node_) {
-      if (!nd.proc->quiescent() || !nd.memory->idle()) return false;
-      if (!nd.wait_buffer->empty() || !nd.local_rep.empty()) return false;
+      if (!nd.combiner->empty() || !nd.local_rep.empty()) return false;
       for (const auto& q : nd.out_req) {
         if (!q.empty()) return false;
       }
@@ -168,66 +135,14 @@ class HypercubeMachine {
     return true;
   }
 
-  // --- checker interface -----------------------------------------------------
-  [[nodiscard]] std::uint32_t processors() const noexcept { return nodes(); }
-  [[nodiscard]] const mem::MemoryModule<M>& module(std::uint32_t u) const {
-    return *node_[u].memory;
-  }
-  [[nodiscard]] const std::vector<proc::CompletedOp<M>>& completed() const {
-    return completed_;
-  }
-  [[nodiscard]] const std::vector<net::CombineEvent>& combine_log() const {
-    return combine_log_;
-  }
-  [[nodiscard]] Value value_at(core::Addr addr) const {
-    return node_[node_of(addr)].memory->value_at(addr);
-  }
-  [[nodiscard]] core::Tick now() const noexcept { return now_; }
-
-  [[nodiscard]] HypercubeStats stats() const {
-    HypercubeStats s;
-    s.cycles = now_;
-    s.ops_completed = completed_.size();
-    for (const auto& op : completed_) s.latency.add(op.completed - op.issued);
+  [[nodiscard]] MachineStats interconnect_stats() const {
+    MachineStats s;
     for (const auto& nd : node_) {
       s.combines += nd.combines;
-      s.hops += nd.hops;
+      s.request_messages += nd.hops;
     }
-    s.throughput_ops_per_cycle =
-        now_ > 0
-            ? static_cast<double>(completed_.size()) / static_cast<double>(now_)
-            : 0.0;
     return s;
   }
-
- private:
-  static constexpr unsigned kSubphases = 2;
-
-  struct alignas(runtime::kCacheLine) Node {
-    std::unique_ptr<mem::MemoryModule<M>> memory;
-    std::unique_ptr<proc::Processor<M>> proc;
-    /// Per-dimension outgoing FIFOs (request combining happens in
-    /// out_req) and single-slot incoming staging, filled by the neighbor
-    /// across that dimension during PRODUCE, drained here during CONSUME.
-    std::vector<std::deque<Fwd>> out_req;
-    std::vector<std::deque<Rev>> out_rep;
-    std::vector<std::deque<Fwd>> in_req;
-    std::vector<std::deque<Rev>> in_rep;
-    /// Replies destined for the local processor, delivered next cycle.
-    std::deque<Rev> local_rep;
-    /// Decombination records, keyed by representative id.
-    std::unique_ptr<net::WaitTable<M>> wait_buffer;
-    /// Shard-local counters, summed by stats() — no shared cells.
-    std::uint64_t combines = 0;
-    std::uint64_t hops = 0;
-  };
-
-  /// Per-shard transcript segment, merged in node order every cycle.
-  struct alignas(runtime::kCacheLine) ShardLog {
-    std::vector<net::CombineEvent> events;
-    std::vector<proc::CompletedOp<M>> completed;
-    std::vector<Rev> due_scratch;
-  };
 
   /// e-cube: the dimension of the lowest differing bit (deterministic,
   /// unique path — the §4.1 assumptions hold).
@@ -250,7 +165,7 @@ class HypercubeMachine {
       Rev rev = std::move(nd.local_rep.front());
       nd.local_rep.pop_front();
       KRS_ASSERT(rev.path.empty());
-      nd.proc->deliver(std::move(rev), now_, &log.completed);
+      procs_[u].deliver(std::move(rev), now_, &log.completed);
     }
     // One reply per incoming link: decombine and route onward.
     for (unsigned dim = 0; dim < cfg_.dimensions; ++dim) {
@@ -260,9 +175,9 @@ class HypercubeMachine {
       handle_reply(u, std::move(rev));
     }
     // Local memory services and emits due replies.
-    log.due_scratch.clear();
-    nd.memory->tick(now_, log.due_scratch);
-    for (auto& rev : log.due_scratch) handle_reply(u, std::move(rev));
+    nd.mem_out.clear();
+    modules_[u].tick(now_, nd.mem_out);
+    for (auto& rev : nd.mem_out) handle_reply(u, std::move(rev));
     // One request per incoming link; a refused head stays staged (the
     // neighbor's PRODUCE sees the slot busy — back-pressure).
     for (unsigned dim = 0; dim < cfg_.dimensions; ++dim) {
@@ -272,26 +187,20 @@ class HypercubeMachine {
       }
     }
     // Local injection.
-    if (const Fwd* head = nd.proc->peek_outgoing(); head != nullptr) {
+    if (const Fwd* head = procs_[u].peek_outgoing(); head != nullptr) {
       Fwd copy = *head;
-      if (try_route(u, copy, /*arrival_dim=*/-1, &log)) nd.proc->pop_outgoing();
+      if (try_route(u, copy, net::Combiner<M>::kNoHop, &log)) {
+        procs_[u].pop_outgoing();
+      }
     }
-    nd.proc->tick(now_);
+    procs_[u].tick(now_);
   }
 
   /// A reply present AT node u (after crossing a link or leaving memory):
   /// decombine against u's wait buffer, then route onward.
   void handle_reply(std::uint32_t u, Rev&& rev) {
-    Node& nd = node_[u];
-    const auto original_val = rev.reply.value;
-    nd.wait_buffer->consume(rev.reply.id, [&](auto& wr) {
-      Rev second;
-      second.reply.id = wr.rec.second;
-      second.reply.value = core::decombine(wr.rec, original_val);
-      second.reply.completed = rev.reply.completed;
-      second.path = wr.path;
-      route_reply(u, std::move(second));
-    });
+    node_[u].combiner->decombine(
+        rev, [&](Rev&& second) { route_reply(u, std::move(second)); });
     route_reply(u, std::move(rev));
   }
 
@@ -314,51 +223,26 @@ class HypercubeMachine {
   /// `arrival_dim` is recorded in the path header (−1: local injection).
   bool try_route(std::uint32_t u, Fwd& head, int arrival_dim, ShardLog* log) {
     Node& nd = node_[u];
-    const std::uint32_t dest = node_of(head.req.addr);
-    if (dest == u) {
-      if (!nd.memory->can_accept(head)) return false;
+    const auto take = [&] {
       Fwd pkt = std::move(head);
       if (arrival_dim >= 0) {
         pkt.path.push_back(static_cast<std::uint8_t>(arrival_dim));
       }
-      nd.memory->accept(std::move(pkt), &log->events);
+      return pkt;
+    };
+    const std::uint32_t dest = module_of(head.req.addr);
+    if (dest == u) {
+      if (!modules_[u].can_accept(head)) return false;
+      modules_[u].accept(take(), &log->events);
       return true;
     }
-    const unsigned dim = route_dim(u, dest);
-    auto& q = nd.out_req[dim];
-    if (cfg_.policy != net::CombinePolicy::kNone &&
-        head.kind == net::TxnKind::kRmw) {
-      for (auto it = q.rbegin(); it != q.rend(); ++it) {
-        if (it->kind != net::TxnKind::kRmw || it->req.addr != head.req.addr) {
-          continue;
-        }
-        // The switch's rules: pairwise declines a representative that
-        // already holds a record here; the bound counts records.
-        if (cfg_.policy == net::CombinePolicy::kPairwise &&
-            nd.wait_buffer->fan_in(it->req.id) >= 1) {
-          break;
-        }
-        if (nd.wait_buffer->records() >= cfg_.wait_buffer_capacity) break;
-        auto rec = core::try_combine(it->req, head.req);
-        if (!rec) break;
-        it->combined = true;
-        Fwd pkt = std::move(head);
-        if (arrival_dim >= 0) {
-          pkt.path.push_back(static_cast<std::uint8_t>(arrival_dim));
-        }
-        nd.wait_buffer->append(it->req.id, {*rec, pkt.path});
-        ++nd.combines;
-        log->events.push_back(
-            {rec->representative, rec->second, pkt.req.addr, false});
-        return true;
-      }
+    auto& q = nd.out_req[route_dim(u, dest)];
+    if (nd.combiner->offer(q, head, arrival_dim, &log->events)) {
+      ++nd.combines;
+      return true;
     }
     if (q.size() >= cfg_.link_queue_capacity) return false;
-    Fwd pkt = std::move(head);
-    if (arrival_dim >= 0) {
-      pkt.path.push_back(static_cast<std::uint8_t>(arrival_dim));
-    }
-    q.push_back(std::move(pkt));
+    q.push_back(take());
     return true;
   }
 
@@ -384,12 +268,7 @@ class HypercubeMachine {
   }
 
   HypercubeConfig<M> cfg_;
-  std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources_;
   std::vector<Node> node_;
-  std::vector<ShardLog> logs_;
-  std::vector<proc::CompletedOp<M>> completed_;
-  std::vector<net::CombineEvent> combine_log_;
-  core::Tick now_ = 0;
 };
 
 }  // namespace krs::sim

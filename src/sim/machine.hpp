@@ -19,39 +19,28 @@
 // never race and every cycle reads the previous sub-phase's snapshot:
 // the parallel engine is bit-identical to the sequential one.
 //
-// The machine records everything the §4.3 correctness argument needs:
-//  * every combine event (representative, absorbed) in chronological order,
-//  * each module's serial processing order of (possibly combined) requests,
-//  * each completed operation's original mapping and observed reply.
-// The verifier (src/verify) expands the combined messages into the request
-// sequences they represent (Lemma 4.1) and replays them serially.
-// Per-shard event logs are merged in shard order at the end of each cycle,
-// so the global logs are identical at every worker count.
+// Processors, modules and the transcript the verifier (src/verify) replays
+// come from MachineBase (sim/engine.hpp); this file is the network.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/combining.hpp"
 #include "core/rmw.hpp"
 #include "core/types.hpp"
 #include "mem/module.hpp"
 #include "net/omega.hpp"
 #include "net/packet.hpp"
 #include "net/switch.hpp"
-#include "proc/processor.hpp"
 #include "runtime/cacheline.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/ring.hpp"
-#include "util/stats.hpp"
 
 namespace krs::sim {
 
 using core::Addr;
-using core::ReqId;
 using core::Tick;
 
 template <core::Rmw M>
@@ -64,39 +53,6 @@ struct MachineConfig {
   bool processor_side_rmw = false; ///< use the §2 baseline implementation
 };
 
-struct MachineStats {
-  Tick cycles = 0;
-  std::uint64_t ops_completed = 0;
-  std::uint64_t combines = 0;
-  std::uint64_t switch_stall_cycles = 0;
-  /// Request messages (and their bytes) that actually occupied link/queue
-  /// slots, summed over all switches — combining shows up as a reduction
-  /// relative to ops × stages.
-  std::uint64_t request_messages = 0;
-  std::uint64_t request_bytes = 0;
-  util::LogHistogram latency;
-  double throughput_ops_per_cycle = 0.0;
-
-  /// Fold another accumulator into this one. Counters add and the latency
-  /// histogram merges bucket-exact, so per-shard (or per-worker) partials
-  /// reduce to the same result a single global accumulator would have
-  /// seen — no shared counters needed on the hot path. `cycles` takes the
-  /// max (partials observe the same clock); throughput is recomputed.
-  void merge(const MachineStats& o) {
-    cycles = std::max(cycles, o.cycles);
-    ops_completed += o.ops_completed;
-    combines += o.combines;
-    switch_stall_cycles += o.switch_stall_cycles;
-    request_messages += o.request_messages;
-    request_bytes += o.request_bytes;
-    latency.merge(o.latency);
-    throughput_ops_per_cycle =
-        cycles > 0 ? static_cast<double>(ops_completed) /
-                         static_cast<double>(cycles)
-                   : 0.0;
-  }
-};
-
 /// A single-slot inter-component channel: full exactly between the produce
 /// sub-phase that wrote it and the consume sub-phase that drains it.
 /// Padded so links consumed by different shards never share a line.
@@ -107,18 +63,26 @@ struct alignas(runtime::kCacheLine) CycleLink {
 };
 
 template <core::Rmw M>
-class Machine {
+class Machine : public MachineBase<Machine<M>, M> {
+  using Base = MachineBase<Machine<M>, M>;
+  friend Base;
+
  public:
-  using rmw_type = M;
-  using Value = typename M::value_type;
+  using typename Base::Sources;
+  using typename Base::Value;
   using Fwd = net::FwdPacket<M>;
   using Rev = net::RevPacket<M>;
 
-  Machine(MachineConfig<M> cfg,
-          std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources)
-      : cfg_(cfg), topo_(cfg.log2_procs), sources_(std::move(sources)) {
+  /// Shard i owns switch row i of every stage, processors 2i and 2i+1, and
+  /// modules 2i and 2i+1 — all components whose input links it consumes.
+  Machine(MachineConfig<M> cfg, Sources sources)
+      : Base(std::move(sources), net::OmegaTopology(cfg.log2_procs).ports(),
+             net::OmegaTopology(cfg.log2_procs).ports(), cfg.mem_cfg,
+             cfg.initial_value, cfg.window, cfg.processor_side_rmw,
+             net::OmegaTopology(cfg.log2_procs).switches_per_stage()),
+        cfg_(cfg),
+        topo_(cfg.log2_procs) {
     const auto n = topo_.ports();
-    KRS_EXPECTS(sources_.size() == n);
     stages_.resize(topo_.stages());
     arb_priority_.assign(topo_.stages(),
                          std::vector<unsigned>(topo_.switches_per_stage(), 0));
@@ -128,13 +92,6 @@ class Machine {
         st.emplace_back(cfg_.switch_cfg);
       }
     }
-    modules_.reserve(n);
-    procs_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      modules_.emplace_back(cfg_.mem_cfg, cfg_.initial_value);
-      procs_.emplace_back(i, cfg_.window, cfg_.processor_side_rmw,
-                          sources_[i].get());
-    }
     // Boundary b sits between stage b-1 and stage b (b = 0: processors,
     // b = k: modules); each holds one link per wire per direction.
     fwd_links_.assign(topo_.stages() + 1,
@@ -142,11 +99,6 @@ class Machine {
     rev_links_.assign(topo_.stages() + 1,
                       std::vector<CycleLink<Rev>>(n));
     mod_out_.resize(n);
-    logs_.resize(topo_.switches_per_stage());
-  }
-
-  [[nodiscard]] std::uint32_t processors() const noexcept {
-    return topo_.ports();
   }
 
   /// Memory module that owns an address (low-order interleaving).
@@ -154,69 +106,31 @@ class Machine {
     return static_cast<std::uint32_t>(addr & (topo_.ports() - 1));
   }
 
-  /// Advance one cycle (sequential shard order).
-  void tick() {
-    const std::uint32_t shards = engine_shards();
-    for (unsigned ph = 0; ph < kSubphases; ++ph) {
-      for (std::uint32_t sh = 0; sh < shards; ++sh) engine_subphase(ph, sh);
-    }
-    engine_end_cycle();
+  /// Directly set a memory cell, outside the simulated clock: no packets,
+  /// no cycles, no transcript entry. Seam for the runtime sim backend
+  /// (cell initialization, serialized compare-exchange): the write lands
+  /// in the owning module's serial state between services, so it
+  /// linearizes before every not-yet-serviced request and after every
+  /// serviced one.
+  void poke(Addr addr, Value v) { modules_[module_of(addr)].poke(addr, v); }
+
+  [[nodiscard]] const net::SwitchStats& switch_stats(unsigned stage,
+                                                     std::uint32_t row) const {
+    return stages_[stage][row].stats();
   }
 
-  /// Run until every processor is quiescent and the machine has drained,
-  /// or `max_cycles` elapse. Returns true iff fully drained.
-  bool run(Tick max_cycles) { return SequentialEngine::run(*this, max_cycles); }
+ private:
+  using typename Base::ShardLog;
+  using Base::logs_;
+  using Base::modules_;
+  using Base::now_;
+  using Base::procs_;
 
-  /// Same semantics — and bit-identical results — on a worker pool.
-  /// `workers` is clamped to the shard count; 0/1 falls back to run().
-  bool run_parallel(Tick max_cycles, unsigned workers) {
-    return ParallelEngine(workers).run(*this, max_cycles);
-  }
-
-  // --- engine concept (sim/engine.hpp) ------------------------------------
-
-  /// Shard i owns switch row i of every stage, processors 2i and 2i+1, and
-  /// modules 2i and 2i+1 — all components whose input links it consumes.
-  [[nodiscard]] std::uint32_t engine_shards() const noexcept {
-    return topo_.switches_per_stage();
-  }
-  [[nodiscard]] unsigned engine_subphases() const noexcept {
-    return kSubphases;
-  }
-
-  void engine_subphase(unsigned ph, std::uint32_t shard) {
-    if (ph == 0) {
-      consume(shard);
-    } else {
-      produce(shard);
-    }
-  }
-
-  /// Serial between cycles: merge per-shard logs in shard order (so the
-  /// global transcript is independent of the worker count) and advance
-  /// the clock.
-  void engine_end_cycle() {
-    for (auto& log : logs_) {
-      combine_log_.insert(combine_log_.end(), log.events.begin(),
-                          log.events.end());
-      log.events.clear();
-      for (auto& op : log.completed) completed_.push_back(op);
-      log.completed.clear();
-    }
-    ++now_;
-  }
-
-  [[nodiscard]] bool drained() const {
-    for (const auto& p : procs_) {
-      if (!p.quiescent()) return false;
-    }
+  [[nodiscard]] bool interconnect_drained() const {
     for (const auto& st : stages_) {
       for (const auto& sw : st) {
         if (!sw.idle()) return false;
       }
-    }
-    for (const auto& m : modules_) {
-      if (!m.idle()) return false;
     }
     for (const auto& boundary : fwd_links_) {
       for (const auto& l : boundary) {
@@ -234,70 +148,18 @@ class Machine {
     return true;
   }
 
-  [[nodiscard]] Tick now() const noexcept { return now_; }
-
-  [[nodiscard]] const std::vector<proc::CompletedOp<M>>& completed() const {
-    return completed_;
-  }
-  [[nodiscard]] const std::vector<net::CombineEvent>& combine_log() const {
-    return combine_log_;
-  }
-  [[nodiscard]] const mem::MemoryModule<M>& module(std::uint32_t i) const {
-    return modules_[i];
-  }
-  [[nodiscard]] Value value_at(Addr addr) const {
-    return modules_[module_of(addr)].value_at(addr);
-  }
-
-  /// Directly set a memory cell, outside the simulated clock: no packets,
-  /// no cycles, no transcript entry. Seam for the runtime sim backend
-  /// (cell initialization, serialized compare-exchange): the write lands
-  /// in the owning module's serial state between services, so it
-  /// linearizes before every not-yet-serviced request and after every
-  /// serviced one.
-  void poke(Addr addr, Value v) { modules_[module_of(addr)].poke(addr, v); }
-
-  [[nodiscard]] MachineStats stats() const {
-    // Built as a per-shard reduction through MachineStats::merge — the
-    // same reduction a parallel stats pass performs, exercised on every
-    // call so sequential and parallel reports cannot drift apart.
+  [[nodiscard]] MachineStats interconnect_stats() const {
     MachineStats s;
-    s.cycles = now_;
-    for (std::uint32_t col = 0; col < topo_.switches_per_stage(); ++col) {
-      MachineStats part;
-      part.cycles = now_;
-      for (unsigned st = 0; st < topo_.stages(); ++st) {
-        const auto& sw = stages_[st][col].stats();
-        part.combines += sw.combines;
-        part.switch_stall_cycles += sw.stalls;
-        part.request_messages += sw.requests_forwarded;
-        part.request_bytes += sw.request_bytes;
+    for (const auto& stage : stages_) {
+      for (const auto& sw : stage) {
+        s.combines += sw.stats().combines;
+        s.switch_stall_cycles += sw.stats().stalls;
+        s.request_messages += sw.stats().requests_forwarded;
+        s.request_bytes += sw.stats().request_bytes;
       }
-      s.merge(part);
     }
-    MachineStats ops;
-    ops.cycles = now_;
-    ops.ops_completed = completed_.size();
-    for (const auto& op : completed_) ops.latency.add(op.completed - op.issued);
-    s.merge(ops);
     return s;
   }
-
-  [[nodiscard]] const net::SwitchStats& switch_stats(unsigned stage,
-                                                     std::uint32_t row) const {
-    return stages_[stage][row].stats();
-  }
-
- private:
-  static constexpr unsigned kSubphases = 2;
-
-  /// Per-shard transcript segment, merged (and cleared) every cycle by
-  /// engine_end_cycle. Padded: adjacent shards append concurrently.
-  struct alignas(runtime::kCacheLine) ShardLog {
-    std::vector<net::CombineEvent> events;
-    std::vector<proc::CompletedOp<M>> completed;
-    std::vector<Rev> due_scratch;  ///< reused module.tick output buffer
-  };
 
   // --- link indexing -------------------------------------------------------
   // Boundary b, wire w: for b < k, w is the stage-b input wire
@@ -376,11 +238,7 @@ class Machine {
         modules_[m].accept(std::move(link.pkt), &log.events);
         link.full = false;
       }
-      log.due_scratch.clear();
-      modules_[m].tick(now_, log.due_scratch);
-      for (auto& rev : log.due_scratch) {
-        mod_out_[m].push_back(std::move(rev));
-      }
+      modules_[m].tick(now_, mod_out_[m]);
     }
   }
 
@@ -432,12 +290,7 @@ class Machine {
 
   MachineConfig<M> cfg_;
   net::OmegaTopology topo_;
-  std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources_;
   std::vector<std::vector<net::CombiningSwitch<M>>> stages_;
-  std::vector<mem::MemoryModule<M>> modules_;
-  std::vector<proc::Processor<M>> procs_;
-  std::vector<proc::CompletedOp<M>> completed_;
-  std::vector<net::CombineEvent> combine_log_;
   /// Rotating input-port priority per switch (see consume()).
   std::vector<std::vector<unsigned>> arb_priority_;
   /// Single-slot links at each stage boundary, [k+1][n] per direction.
@@ -445,8 +298,6 @@ class Machine {
   std::vector<std::vector<CycleLink<Rev>>> rev_links_;
   /// Per-module staged replies awaiting a free boundary link.
   std::vector<util::RingBuffer<Rev>> mod_out_;
-  std::vector<ShardLog> logs_;
-  Tick now_ = 0;
 };
 
 }  // namespace krs::sim

@@ -66,8 +66,8 @@ TEST(BusMachine, HotBankSerializesWithoutCombining) {
   // Slow banks (4 cycles/service): all 512 requests hit one bank.
   const auto base = run_with(false, 4);
   const auto comb = run_with(true, 4);
-  EXPECT_EQ(base.queue_combines, 0u);
-  EXPECT_GT(comb.queue_combines, 0u);
+  EXPECT_EQ(base.combines, 0u);
+  EXPECT_GT(comb.combines, 0u);
   EXPECT_LT(comb.cycles, base.cycles);
 }
 

@@ -43,7 +43,7 @@ TEST(Hypercube, SingleRequestRoundTrip) {
   ASSERT_EQ(m.completed().size(), 1u);
   EXPECT_EQ(m.completed()[0].reply, 0u);
   EXPECT_EQ(m.value_at(7), 5u);
-  EXPECT_EQ(m.stats().hops, 3u);  // Hamming distance 0 → 7
+  EXPECT_EQ(m.stats().request_messages, 3u);  // Hamming distance 0 → 7
   EXPECT_TRUE(verify::check_machine(m, 0).ok);
 }
 
@@ -59,7 +59,7 @@ TEST(Hypercube, LocalAccessTakesNoLinks) {
   }
   HypercubeMachine<FetchAdd> m(cfg, std::move(src));
   ASSERT_TRUE(m.run(1000));
-  EXPECT_EQ(m.stats().hops, 0u);
+  EXPECT_EQ(m.stats().request_messages, 0u);
   EXPECT_EQ(m.value_at(5), 9u);
   EXPECT_TRUE(verify::check_machine(m, 0).ok);
 }
@@ -101,7 +101,7 @@ TEST(Hypercube, CombiningBeatsNoCombiningOnHotSpot) {
   const auto base = run_with(net::CombinePolicy::kNone);
   EXPECT_LT(comb.cycles, base.cycles);
   // Combining also cuts link traffic (absorbed requests stop traveling).
-  EXPECT_LT(comb.hops, base.hops);
+  EXPECT_LT(comb.request_messages, base.request_messages);
 }
 
 // The hot spot both wait-buffer tests drive: dims=4, window 8, all 16

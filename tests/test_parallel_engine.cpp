@@ -76,6 +76,10 @@ void expect_identical_stats(const sim::MachineStats& a,
   EXPECT_EQ(a.request_bytes, b.request_bytes);
   EXPECT_EQ(a.latency.count(), b.latency.count());
   EXPECT_DOUBLE_EQ(a.latency.mean(), b.latency.mean());
+  for (unsigned i = 0; i < util::LogHistogram::kBuckets; ++i) {
+    EXPECT_EQ(a.latency.bucket(i), b.latency.bucket(i)) << "bucket " << i;
+  }
+  EXPECT_DOUBLE_EQ(a.throughput_ops_per_cycle, b.throughput_ops_per_cycle);
 }
 
 // --- workload builders (log2_procs = 4 → 8 column shards) ------------------
@@ -246,21 +250,7 @@ sim::HypercubeMachine<FetchAdd> make_cube(std::uint64_t seed) {
 
 TEST(ParallelEngine, HypercubeDeterministicAcrossWorkers) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    auto seq = make_cube(seed);
-    ASSERT_TRUE(seq.run(kMaxCycles));
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-      auto par = make_cube(seed);
-      ASSERT_TRUE(par.run_parallel(kMaxCycles, workers));
-      expect_identical(seq, par, "hypercube");
-    }
-    const auto st = seq.stats();
-    auto par = make_cube(seed);
-    ASSERT_TRUE(par.run_parallel(kMaxCycles, 8));
-    const auto pt = par.stats();
-    EXPECT_EQ(st.combines, pt.combines);
-    EXPECT_EQ(st.hops, pt.hops);
-    const auto res = verify::check_machine(par, 0);
-    EXPECT_TRUE(res.ok) << res.error;
+    run_determinism_case(make_cube, seed, "hypercube");
   }
 }
 
@@ -290,13 +280,7 @@ sim::BusMachine<FetchAdd> make_bus(std::uint64_t seed) {
 
 TEST(ParallelEngine, BusMachineDeterministicAcrossWorkers) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    auto seq = make_bus(seed);
-    ASSERT_TRUE(seq.run(kMaxCycles));
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-      auto par = make_bus(seed);
-      ASSERT_TRUE(par.run_parallel(kMaxCycles, workers));
-      expect_identical(seq, par, "bus");
-    }
+    run_determinism_case(make_bus, seed, "bus");
   }
 }
 

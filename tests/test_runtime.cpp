@@ -656,7 +656,6 @@ TEST(TicketLock, FifoFairUnderSerialHandoff) {
         // Serialize ticket acquisition so the expected order is known.
         while (queued.load() != t) std::this_thread::yield();
         // Take the ticket by starting lock(); signal once queued.
-        std::atomic_thread_fence(std::memory_order_seq_cst);
         queued.fetch_add(1);
         lock.lock();
         order.push_back(t);
