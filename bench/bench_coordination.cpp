@@ -27,10 +27,10 @@
 #include "net/switch.hpp"
 #include "runtime/combining_backend.hpp"
 #include "runtime/coordination.hpp"
+#include "runtime/local_spin_locks.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/sim_backend.hpp"
-#include "runtime/ticket_lock.hpp"
 #include "util/stats.hpp"
 #include "workload/workloads.hpp"
 

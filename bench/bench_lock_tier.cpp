@@ -36,7 +36,6 @@
 #include "runtime/combining_backend.hpp"
 #include "runtime/local_spin_locks.hpp"
 #include "runtime/rmw_backend.hpp"
-#include "runtime/ticket_lock.hpp"
 #include "runtime/wait_policy.hpp"
 
 using namespace krs::runtime;

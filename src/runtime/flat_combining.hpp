@@ -8,12 +8,20 @@
 // structure, applied here to the §3/§5 fetch-and-θ mapping families) is
 // that single point done right:
 //
-//  * every thread owns a cache-line-padded PUBLICATION SLOT; to operate it
+//  * an op that finds the combiner lock word entirely clear (no combiner,
+//    no waiting publisher) takes the lock and applies its own mapping
+//    directly — no slot, no scan: like a request through an empty §4.2
+//    switch queue, an op that meets no one pays only the lock and the
+//    value word;
+//  * otherwise the thread uses its cache-line-padded PUBLICATION SLOT: it
 //    writes its encoded core::AnyRmw mapping into the slot and
 //    release-publishes it — one line transfer, no CAS;
 //  * ONE thread at a time is the COMBINER, elected by a try-lock on a
-//    single word (never spun on while held — losers go back to watching
-//    their own slot);
+//    single word (never spun on while held — losers set the word's
+//    `waiting` bit, test-and-test-and-set style, and go back to watching
+//    their own slot). A direct op whose release finds `waiting` set runs
+//    one ordinary combining tenure before it leaves, so publishers are
+//    never stranded behind a stream of direct ops;
 //  * the combiner scans the slots and serves every pending mapping in one
 //    BATCH: it reads the value once, applies the mappings in slot order
 //    while handing each op the running prior — exactly the §3
@@ -62,16 +70,19 @@
 
 namespace krs::runtime {
 
-/// Combiner-side telemetry. `ops` counts completed published operations;
+/// Combiner-side telemetry. `ops` counts completed operations;
 /// `combined` the subset served by ANOTHER thread's pass (the flat-
 /// combining win: those threads never touched the value word); `takeovers`
-/// successful combiner elections; `passes` publication-list scans;
+/// combining tenures (won elections, and direct holders that found a
+/// publisher waiting); `passes` publication-list scans;
 /// `handoffs` lock releases forced by the pass cap while work was still
 /// pending (the anti-starvation path); `serialized_updates` the
-/// update_at_combiner escape-hatch calls.
+/// update_at_combiner escape-hatch calls; `direct` the ops applied by
+/// their own thread without publishing (a subset of `ops`, run in no pass).
 struct FlatCombinerStats {
   std::uint64_t ops = 0;
   std::uint64_t combined = 0;
+  std::uint64_t direct = 0;
   std::uint64_t takeovers = 0;
   std::uint64_t passes = 0;
   std::uint64_t handoffs = 0;
@@ -113,12 +124,23 @@ class FlatCombiner {
   FlatCombiner(const FlatCombiner&) = delete;
   FlatCombiner& operator=(const FlatCombiner&) = delete;
 
-  /// Atomically value ← f(value), returning the prior value. Publishes
-  /// into `slot` (mod slots()), then either a running combiner serves the
-  /// op or this thread elects itself and serves the whole publication
-  /// list, its own op included.
+  /// Atomically value ← f(value), returning the prior value. If the lock
+  /// word is clear, applies `f` directly; otherwise publishes into `slot`
+  /// (mod slots()), then either a running combiner serves the op or this
+  /// thread elects itself and serves the whole publication list, its own
+  /// op included.
   core::Word fetch_rmw(unsigned slot, const core::AnyRmw& f) {
     Instrument::acquire(this);
+    if (try_lock()) {
+      Instrument::contended_rmw(&value_, KRS_SITE);
+      const core::Word prior = value_.load(std::memory_order_relaxed);
+      value_.store(f.apply(prior), std::memory_order_seq_cst);
+      bump(ops_);
+      bump(direct_);
+      unlock_direct();
+      Instrument::release(this);
+      return prior;
+    }
     Slot& s = claim(slot % nslots_);
     s.op = f;
     Instrument::shared_store(&s.seq, KRS_SITE);
@@ -127,8 +149,8 @@ class FlatCombiner {
     Policy pol;
     for (;;) {
       if (s.seq.load(std::memory_order_acquire) == kDone) break;
-      if (try_lock()) {
-        combine(&s);
+      if (elect()) {
+        combine(&s, true);
         unlock();
         if constexpr (Policy::kParks) wake_pending();
         break;
@@ -193,6 +215,7 @@ class FlatCombiner {
     FlatCombinerStats st;
     st.ops = ops_.load(std::memory_order_relaxed);
     st.combined = combined_.load(std::memory_order_relaxed);
+    st.direct = direct_.load(std::memory_order_relaxed);
     st.takeovers = takeovers_.load(std::memory_order_relaxed);
     st.passes = passes_.load(std::memory_order_relaxed);
     st.handoffs = handoffs_.load(std::memory_order_relaxed);
@@ -295,16 +318,59 @@ class FlatCombiner {
     }
   }
 
+  // Lock word bits. `kWaiting` is set only while `kLocked` is, and every
+  // release clears the word, so an unlocked word is always 0.
+  static constexpr std::uint32_t kLocked = 0x1;
+  static constexpr std::uint32_t kWaiting = 0x2;
+
+  /// Take the lock if the word is entirely clear (test-and-test-and-set).
   [[nodiscard]] bool try_lock() {
-    std::uint32_t expect = 0;
-    return lock_.compare_exchange_strong(expect, 1,
+    std::uint32_t expect = lock_.load(std::memory_order_relaxed);
+    return expect == 0 &&
+           lock_.compare_exchange_strong(expect, kLocked,
                                          std::memory_order_acquire,
                                          std::memory_order_relaxed);
+  }
+
+  /// A publisher's election round: take the lock if it is free, else make
+  /// sure the holder's word carries `kWaiting` — one RMW at most, none
+  /// when another publisher already set the bit. The release CAS pairs
+  /// with a direct holder's acquire-on-failure, so the holder's scan sees
+  /// this publication.
+  [[nodiscard]] bool elect() {
+    std::uint32_t w = lock_.load(std::memory_order_relaxed);
+    for (;;) {
+      if (w == 0) {
+        if (lock_.compare_exchange_weak(w, kLocked, std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+          return true;
+        }
+      } else if ((w & kWaiting) != 0 ||
+                 lock_.compare_exchange_weak(w, w | kWaiting,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed)) {
+        return false;
+      }
+    }
   }
 
   void unlock() {
     lock_.store(0, std::memory_order_release);
     if constexpr (Policy::kParks) Policy::notify_all(lock_);
+  }
+
+  /// A direct op's release. If a publisher marked the word while we held
+  /// it, serve one ordinary tenure (capped by max_passes) before leaving.
+  void unlock_direct() {
+    std::uint32_t expect = kLocked;
+    if (lock_.compare_exchange_strong(expect, 0, std::memory_order_release,
+                                      std::memory_order_acquire)) {
+      if constexpr (Policy::kParks) Policy::notify_all(lock_);
+      return;
+    }
+    combine(nullptr, true);
+    unlock();
+    if constexpr (Policy::kParks) wake_pending();
   }
 
   /// Parking policies only: after releasing the lock, wake the owners of
@@ -341,13 +407,14 @@ class FlatCombiner {
   /// combiner's OWN slot (`own`, may be null) is the one exception: its
   /// owner is this very thread, so program order already sequences the
   /// value store before any subsequent read() and the reply can flip
-  /// inline — keeping the uncontended self-serve pass at one sweep. The
+  /// inline — keeping a pass that serves only its combiner at one sweep. The
   /// value store is seq_cst (one xchg per pass): a Dekker handshake such
   /// as the rw-lock's also needs each served op ordered before its
   /// owner's next load of ANOTHER cell — the store-buffering order of the
   /// RmwBackend ordering contract. ops_/combined_ are counted here, under
-  /// the lock; only the threaded path (own != null) counts combined ops.
-  unsigned serve_pass(const Slot* own) {
+  /// the lock; only threaded tenures (a publisher's or a direct holder's,
+  /// not run_wave's single caller) count combined ops.
+  unsigned serve_pass(const Slot* own, bool threaded) {
     Instrument::contended_rmw(&value_, KRS_SITE);
     core::Word v = value_.load(std::memory_order_relaxed);
     unsigned served = 0;
@@ -377,7 +444,7 @@ class FlatCombiner {
     }
     bump(passes_);
     bump(ops_, served);
-    if (own != nullptr) bump(combined_, served_.size());
+    if (threaded) bump(combined_, served_.size());
     return served;
   }
 
@@ -385,11 +452,11 @@ class FlatCombiner {
   /// pending or the pass cap forces a handoff. `own` (may be null) is the
   /// caller's slot: the first pass always serves it, so a combiner never
   /// exits with its own op unserved.
-  void combine(const Slot* own) {
+  void combine(const Slot* own, bool threaded = false) {
     bump(takeovers_);
     unsigned passes = 0;
     for (;;) {
-      const unsigned served = serve_pass(own);
+      const unsigned served = serve_pass(own, threaded);
       ++passes;
       if (passes >= max_passes_ || served == 0) break;
     }
@@ -409,16 +476,18 @@ class FlatCombiner {
   unsigned max_passes_;
   alignas(kCacheLine) std::atomic<std::uint32_t> lock_{0};
   alignas(kCacheLine) std::atomic<core::Word> value_;
-  std::vector<Slot> slots_;
-  std::vector<unsigned> served_;  ///< serve_pass scratch; combiner lock only
-
-  // Telemetry (relaxed; snapshots race with operations by design).
+  // Telemetry, written only under the lock and so on the value word's line
+  // (a direct op touches the lock line and this one); relaxed, snapshots
+  // race with operations by design.
   std::atomic<std::uint64_t> ops_{0};
   std::atomic<std::uint64_t> combined_{0};
+  std::atomic<std::uint64_t> direct_{0};
   std::atomic<std::uint64_t> takeovers_{0};
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> handoffs_{0};
   std::atomic<std::uint64_t> serialized_updates_{0};
+  std::vector<Slot> slots_;
+  std::vector<unsigned> served_;  ///< serve_pass scratch; combiner lock only
 };
 
 /// The flat-combining RMW backend: every cell is one FlatCombiner, so

@@ -1,6 +1,6 @@
-// The local-spin competitor tier: MCS and CLH queue locks and a
-// futex-style parking mutex — the RMR-optimal rivals the combining
-// structures must beat (or lose to, honestly) in bench_lock_tier.
+// The local-spin competitor tier: MCS and CLH queue locks, a futex-style
+// parking mutex and the fetch-and-add ticket lock — the rivals the
+// combining structures must beat (or lose to, honestly) in bench_lock_tier.
 //
 // The paper's argument for combining assumes waiters cost nothing while
 // they wait; the Mellor-Crummey–Scott line of work made that true on
@@ -22,6 +22,14 @@
 //    or park in the kernel. With FutexWait this is the classic futex
 //    mutex; with SpinWait it is the same algorithm spinning — the
 //    apples-to-apples pair bench_lock_tier measures oversubscription with.
+//  * BasicTicketLock — the textbook application of "fetch-and-add hands
+//    out distinct tickets", the property combining makes contention-free:
+//    acquire is one fetch-and-add (combinable — under a combining memory
+//    P simultaneous acquirers cost O(log P) network work), release one
+//    increment. FIFO-fair like the queue locks, but every waiter reads the
+//    one serving word, so waiters back off proportionally to their queue
+//    distance (Mellor-Crummey–Scott's classic fix): the thread holding
+//    ticket t re-reads now_serving only after ~(t − now_serving)·k pauses.
 //
 // Every wait routes through the WaitPolicy seam (runtime/wait_policy.hpp):
 // the queue locks park on their private word under FutexWait, so the same
@@ -350,6 +358,88 @@ class BasicParkingLock {
 };
 
 using ParkingLock = BasicParkingLock<FutexWait>;
+
+/// Fetch-and-add ticket lock with proportional backoff (see the top of
+/// this file). Instrument comes first in its template parameters.
+template <typename Instrument = analysis::DefaultInstrument,
+          WaitPolicy Policy = SpinYieldWait>
+class BasicTicketLock {
+ public:
+  void lock() noexcept(!Instrument::enabled) {
+    Instrument::contended_rmw(&next_, KRS_SITE);
+    const std::uint64_t my =
+        next_.fetch_add(1, std::memory_order_acq_rel);
+    Policy pol;
+    std::uint64_t prev_ahead = ~std::uint64_t{0};
+    for (;;) {
+      Instrument::shared_load(&serving_, KRS_SITE);
+      const std::uint64_t now = serving_.load(std::memory_order_acquire);
+      if (now == my) break;
+      // Proportional backoff: my - now waiters are served before us, so
+      // wait roughly that long before re-reading instead of hammering
+      // the serving word from every queued thread. If the queue did not
+      // advance since our last read, the holder is likely preempted
+      // (oversubscribed host) and needs this core — hand the round to
+      // the wait policy (yield by default; FutexWait sleeps outright).
+      const std::uint64_t ahead = my - now;
+      if (ahead >= prev_ahead) {
+        pol.pause();
+      } else {
+        proportional_backoff(ahead);
+        pol.reset();  // queue advanced: a fresh wait episode
+      }
+      prev_ahead = ahead;
+    }
+    Instrument::acquire(this);
+  }
+
+  bool try_lock() noexcept(!Instrument::enabled) {
+    Instrument::shared_load(&serving_, KRS_SITE);
+    std::uint64_t serving = serving_.load(std::memory_order_acquire);
+    std::uint64_t expected = serving;
+    // Take a ticket only if it would be served immediately.
+    Instrument::contended_rmw(&next_, KRS_SITE);
+    if (next_.compare_exchange_strong(expected, serving + 1,
+                                      std::memory_order_acq_rel)) {
+      Instrument::acquire(this);
+      return true;
+    }
+    return false;
+  }
+
+  void unlock() noexcept(!Instrument::enabled) {
+    Instrument::release(this);
+    Instrument::contended_rmw(&serving_, KRS_SITE);
+    serving_.fetch_add(1, std::memory_order_acq_rel);
+  }
+
+  /// Number of waiters currently queued (approximate).
+  [[nodiscard]] std::uint64_t queue_length() const noexcept {
+    const auto n = next_.load(std::memory_order_acquire);
+    const auto s = serving_.load(std::memory_order_acquire);
+    return n > s ? n - s : 0;
+  }
+
+  class Scoped {
+   public:
+    explicit Scoped(BasicTicketLock& l) noexcept(!Instrument::enabled)
+        : l_(l) {
+      l_.lock();
+    }
+    Scoped(const Scoped&) = delete;
+    Scoped& operator=(const Scoped&) = delete;
+    ~Scoped() { l_.unlock(); }
+
+   private:
+    BasicTicketLock& l_;
+  };
+
+ private:
+  alignas(kCacheLine) std::atomic<std::uint64_t> next_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> serving_{0};
+};
+
+using TicketLock = BasicTicketLock<>;
 
 /// Any lock with a nested Scoped RAII guard, exposed as an RmwBackend
 /// substrate: a cell is one padded word plus one lock instance, and every

@@ -21,12 +21,15 @@
 // combine / operate / distribute) of Yew–Tzeng–Lawrie and Herlihy–Shavit,
 // each node a word-sized state machine in the style of Goodman-style
 // combining words: second arrivals deposit their mapping in a per-node
-// slot and spin-then-yield until the distributed result lands.
+// slot and spin-then-yield until the distributed result lands. Like the
+// paper's switch, which combines a request only when it finds a
+// same-address request already queued, the tree climbs only when the root
+// is busy: an op that finds the root idle applies there directly.
 //
 // Node status word (64 bits):
 //
-//   [63 ............. 4] [3]    [2..0]
-//    generation count     lock   status tag
+//   [63 ............. 3] [2..0]
+//    generation count     status tag
 //
 // Tags: Idle, First (a first arrival passed through, climbing),
 // FirstLocked (the first came back in its combine phase and closed the
@@ -34,20 +37,33 @@
 // flight), SecondReady (mapping deposited), SecondCombined (the first
 // inspected the mapping; reply owed — whether composition succeeded or
 // declined is a first-owned flag off the status word), Result (reply
-// delivered), Root. The lock bit is used only on the root word, as the
-// spinlock that serializes the O(P / combine-degree) operations that
-// actually reach the root. The generation count increments on every reset
-// to Idle, so a stalled CAS from a previous occupancy of the node can
-// never succeed against a later one (ABA).
+// delivered). The generation count increments on every reset to Idle, so
+// a stalled CAS from a previous occupancy of the node can never succeed
+// against a later one (ABA). Heap index 1 is the root: nothing climbs
+// past it and its status word is never used.
+//
+// Root lock word (32 bits, on one line with the root value, width_ and
+// the root counters — everything a direct op touches):
+//
+//   bit 0  locked   the spinlock that serializes every root application
+//   bit 1  waiter   a climber found the root locked and is waiting in
+//                   lock_root; set by the waiters, kept by unlock, and
+//                   cleared by the next acquirer (other waiters set it
+//                   again), so direct ops cannot overtake combined batches
 //
 // Protocol per operation (slot s, mapping f):
+//   0. direct — if the root lock word is entirely clear (no holder, no
+//      waiter), take the lock, apply f at the root and return: no node
+//      is touched, so a request that meets no one pays one lock word and
+//      the value, like a request through an empty switch queue.
+//      Otherwise climb:
 //   1. precombine — climb from the leaf while CAS Idle→First succeeds;
 //      CAS First→SecondPending stops the climb (we are the second there);
 //      the root always stops the climb.
 //   2. combine — re-walk the path: CAS First→FirstLocked passes through
 //      (no partner), SecondReady folds the deposited mapping in with
 //      compose(first, second) — or records a decline.
-//   3. operate — at the root, apply under the root word's lock bit; at a
+//   3. operate — at the root, apply under the root lock; at a
 //      SecondPending node, deposit the combined mapping (store + release
 //      tag flip) and spin-then-yield for the Result tag.
 //   4. distribute — walk back down: FirstLocked resets to Idle(gen+1);
@@ -97,6 +113,7 @@ struct CombiningTreeStats {
   std::uint64_t folds = 0;          ///< successful try_compose folds
   std::uint64_t declined_folds = 0; ///< cross-family / overflow declines
   std::uint64_t root_applies = 0;   ///< operations served at the root
+  std::uint64_t direct = 0;  ///< root applies that skipped the climb (step 0)
 
   /// Fraction of operations absorbed by a fold below the root (§4.2's
   /// win). 0 when nothing ran.
@@ -133,9 +150,7 @@ class MappingCombiningTree {
   /// e.g. from CpuTopology — need not care). Thread slots are
   /// 0..width()-1, the ROUNDED range; two slots share each leaf.
   explicit MappingCombiningTree(unsigned width, V initial = V{})
-      : width_(rounded_width(width)), root_(initial), nodes_(width_) {
-    nodes_[kRootIndex].status.store(kRootWord, std::memory_order_relaxed);
-  }
+      : width_(rounded_width(width)), root_(initial), nodes_(width_) {}
 
   /// Topology-aware layout: `order` permutes caller-visible slots into
   /// internal slots before the slot→leaf map, so adjacent INTERNAL slots —
@@ -149,7 +164,6 @@ class MappingCombiningTree {
         root_(initial),
         nodes_(width_),
         order_(width_) {
-    nodes_[kRootIndex].status.store(kRootWord, std::memory_order_relaxed);
     for (unsigned s = 0; s < width_; ++s) {
       order_[s] = s < order.width() ? order(s) : s;
     }
@@ -168,6 +182,17 @@ class MappingCombiningTree {
   V fetch_rmw(unsigned slot, M f) {
     KRS_EXPECTS(slot < width_);
     Instrument::acquire(this);
+
+    // Step 0: direct — an idle root (no holder, no waiting climber) is an
+    // empty switch queue: nobody to combine with, so apply there now.
+    if (try_lock_root()) {
+      Instrument::contended_rmw(&root_, KRS_SITE);
+      const V prior = apply_locked([&f](const V& v) { return f.apply(v); });
+      bump(direct_);
+      unlock_root();
+      Instrument::release(this);
+      return prior;
+    }
     const unsigned my_leaf = leaf_of(slot);  // heap index
 
     // Phase 1: precombine — climb while we are the first to arrive.
@@ -227,10 +252,12 @@ class MappingCombiningTree {
   /// exact accounting (then ops == root_applies + folds holds exactly:
   /// every operation either folded into a partner below the root or was
   /// applied at the root — including declined seconds, which distribute()
-  /// serves with their own root application).
+  /// serves with their own root application, and direct ops, which are a
+  /// subset of root_applies).
   [[nodiscard]] CombiningTreeStats stats() const {
     CombiningTreeStats s;
     s.root_applies = root_applies_.load(std::memory_order_relaxed);
+    s.direct = direct_.load(std::memory_order_relaxed);
     for (const Node& nd : nodes_) {
       s.folds += nd.folds.load(std::memory_order_relaxed);
       s.declined_folds += nd.declined_folds.load(std::memory_order_relaxed);
@@ -383,14 +410,15 @@ class MappingCombiningTree {
     kSecondReady = 4,
     kSecondCombined = 5,
     kResult = 6,
-    kRoot = 7,
   };
   static constexpr std::uint64_t kTagMask = 0x7;
-  static constexpr std::uint64_t kLockBit = 0x8;
-  static constexpr unsigned kGenShift = 4;
+  static constexpr unsigned kGenShift = 3;
   static constexpr unsigned kRootIndex = 1;
-  static constexpr std::uint64_t kRootWord = kRoot;
   static constexpr unsigned kMaxDepth = 64;
+
+  // Root lock word bits.
+  static constexpr std::uint32_t kRootLocked = 0x1;
+  static constexpr std::uint32_t kRootWaiter = 0x2;
 
   static constexpr Tag tag_of(std::uint64_t w) noexcept {
     return static_cast<Tag>(w & kTagMask);
@@ -400,7 +428,7 @@ class MappingCombiningTree {
   }
   /// Same generation, new tag.
   static constexpr std::uint64_t retag(std::uint64_t w, Tag t) noexcept {
-    return (w & ~(kTagMask | kLockBit)) | t;
+    return (w & ~kTagMask) | t;
   }
   static constexpr std::uint64_t idle_next_gen(std::uint64_t w) noexcept {
     return (gen_of(w) + 1) << kGenShift | kIdle;
@@ -429,6 +457,7 @@ class MappingCombiningTree {
 
   /// True: keep climbing (we were first); false: stop here (second or root).
   bool precombine(unsigned n) {
+    if (n == kRootIndex) return false;
     Node& nd = nodes_[n];
     // One wait EPISODE per observed status word: while the node finishes
     // a previous occupancy the backoff deepens, but any status change
@@ -440,8 +469,6 @@ class MappingCombiningTree {
     for (;;) {
       std::uint64_t w = nd.status.load(std::memory_order_acquire);
       switch (tag_of(w)) {
-        case kRoot:
-          return false;
         case kIdle:
           Instrument::contended_rmw(&nd.status, KRS_SITE);
           if (nd.status.compare_exchange_weak(w, retag(w, kFirst),
@@ -523,18 +550,31 @@ class MappingCombiningTree {
     return root_rmw([&c](const V& prior) { return c.apply(prior); });
   }
 
-  /// The one root application: a seq_cst store (the RmwBackend ordering
-  /// contract) and the root_applies_ count, both under the root lock.
+  /// A climber's root application: wait for the root lock, then apply.
   template <typename F>
   V root_rmw(F&& f) {
     Instrument::contended_rmw(&root_, KRS_SITE);
     lock_root();
-    const V prior = root_.load(std::memory_order_relaxed);
-    root_.store(std::forward<F>(f)(prior), std::memory_order_seq_cst);
-    root_applies_.store(root_applies_.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
+    const V prior = apply_locked(std::forward<F>(f));
     unlock_root();
     return prior;
+  }
+
+  /// The one root application, root lock held: a seq_cst store (the
+  /// RmwBackend ordering contract) and the root_applies_ count.
+  template <typename F>
+  V apply_locked(F&& f) {
+    const V prior = root_.load(std::memory_order_relaxed);
+    root_.store(std::forward<F>(f)(prior), std::memory_order_seq_cst);
+    bump(root_applies_);
+    return prior;
+  }
+
+  /// Increment for counters mutated ONLY under the root lock: writers are
+  /// mutually excluded, so a relaxed load+store counts exactly.
+  static void bump(std::atomic<std::uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   }
 
   /// Second case, step 1: deposit the combined mapping for the first to
@@ -605,34 +645,59 @@ class MappingCombiningTree {
     }
   }
 
-  // ---- root lock bit --------------------------------------------------------
+  // ---- root lock word -------------------------------------------------------
 
+  /// Step 0's one attempt: take the lock only if the word is entirely
+  /// clear — a waiting climber's bit keeps the direct path shut.
+  [[nodiscard]] bool try_lock_root() {
+    std::uint32_t w = root_lock_.load(std::memory_order_relaxed);
+    return w == 0 &&
+           root_lock_.compare_exchange_strong(w, kRootLocked,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed);
+  }
+
+  /// A climber's acquire. While the root is held it announces itself with
+  /// the waiter bit; its own acquiring CAS clears the bit, and any other
+  /// waiter sets it again on its next round.
   void lock_root() {
-    Node& rt = nodes_[kRootIndex];
     // Episode per observed root word: each time the lock bit changes
     // hands the wait re-arms, so a loser of many elections does not carry
     // a saturated backoff into a freshly-uncontended acquire.
     Policy pol;
     EpisodeWait<Policy> ep(pol);
     for (;;) {
-      std::uint64_t w = rt.status.load(std::memory_order_relaxed);
-      if ((w & kLockBit) == 0 &&
-          rt.status.compare_exchange_weak(w, w | kLockBit,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-        return;
+      std::uint32_t w = root_lock_.load(std::memory_order_relaxed);
+      if ((w & kRootLocked) == 0) {
+        if (root_lock_.compare_exchange_weak(w, kRootLocked,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed)) {
+          return;
+        }
+      } else if ((w & kRootWaiter) == 0 &&
+                 root_lock_.compare_exchange_weak(w, w | kRootWaiter,
+                                                  std::memory_order_relaxed,
+                                                  std::memory_order_relaxed)) {
+        w |= kRootWaiter;
       }
       ep.observe_and_pause(w);
     }
   }
 
+  /// Release, keeping a waiter's bit: the direct path stays shut until a
+  /// waiting climber has had the root.
   void unlock_root() {
-    nodes_[kRootIndex].status.store(kRootWord, std::memory_order_release);
+    root_lock_.store(root_lock_.load(std::memory_order_relaxed) & kRootWaiter,
+                     std::memory_order_release);
   }
 
+  // The root line: everything a direct op reads or writes. The counters
+  // change only under the root lock.
+  alignas(kCacheLine) std::atomic<std::uint32_t> root_lock_{0};
   unsigned width_;
-  alignas(kCacheLine) std::atomic<V> root_;
+  std::atomic<V> root_;
   std::atomic<std::uint64_t> root_applies_{0};
+  std::atomic<std::uint64_t> direct_{0};
   std::vector<Node> nodes_;  // heap layout, nodes_[1..width-1]
   std::vector<unsigned> order_;  // topology slot permutation; empty = identity
 };

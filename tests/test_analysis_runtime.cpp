@@ -19,8 +19,8 @@
 #include "runtime/coordination.hpp"
 #include "runtime/full_empty_cell.hpp"
 #include "runtime/group_lock.hpp"
+#include "runtime/local_spin_locks.hpp"
 #include "runtime/parallel_queue.hpp"
-#include "runtime/ticket_lock.hpp"
 #include "runtime/tree_barrier.hpp"
 
 namespace {

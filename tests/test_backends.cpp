@@ -19,6 +19,10 @@
 //  * a deterministic race_explorer model of the declined-composition
 //    fetch_rmw path, with a control showing the verdict comes from the
 //    modeled edges;
+//  * the direct root path (DirectPath.*): an uncontended op applies at the
+//    root without touching a node, a waiting climber's bit sends ops up
+//    the tree, and reads and mixed-family tickets stay linearizable while
+//    direct and climbing ops interleave;
 //  * a store-buffering litmus (StoreBuffering.*) pinning the RmwBackend
 //    ordering contract: an update is ordered before its caller's next
 //    load of another cell, on every real-thread substrate.
@@ -95,6 +99,20 @@ struct CombiningTreeTestPeer {
     const auto r = nd.result;
     nd.status.store(Tree::idle_next_gen(w), std::memory_order_release);
     return r;
+  }
+  /// A node's raw status word (0 = Idle at generation 0: never occupied).
+  template <typename Tree>
+  static std::uint64_t status(const Tree& t, unsigned n) {
+    return t.nodes_[n].status.load(std::memory_order_acquire);
+  }
+  /// Mark a climber waiting at the idle root, as lock_root does.
+  template <typename Tree>
+  static void mark_root_waiter(Tree& t) {
+    t.root_lock_.store(Tree::kRootWaiter, std::memory_order_release);
+  }
+  template <typename Tree>
+  static std::uint32_t root_lock_word(const Tree& t) {
+    return t.root_lock_.load(std::memory_order_acquire);
   }
 };
 
@@ -984,6 +1002,121 @@ TEST(CombineTelemetry, JoinedThreadsCountEveryOpExactly) {
   }
   EXPECT_EQ(b.cell_stats(c).ops, std::uint64_t{kThreads} * (kAdds + kCas));
   EXPECT_EQ(b.load(c), Word{kThreads} * kAdds);
+}
+
+// --- step 0: the direct root path -------------------------------------------
+
+TEST(DirectPath, TreeUncontendedOpsSkipTheClimb) {
+  // One thread meets no one: every op finds the root lock word clear and
+  // applies there. No node below the root is ever occupied — a climb
+  // would leave its path at generation ≥ 1.
+  constexpr unsigned kWidth = 8;
+  constexpr unsigned kOps = 100;
+  MappingCombiningTree<AnyRmw> tree(kWidth, 0);
+  for (unsigned i = 0; i < kOps; ++i) {
+    EXPECT_EQ(tree.fetch_rmw(i % kWidth, AnyRmw(FetchAdd(1))), Word{i});
+  }
+  for (unsigned n = 2; n < kWidth; ++n) {
+    EXPECT_EQ(Peer::status(tree, n), 0u) << "node " << n;
+  }
+  EXPECT_EQ(tree.read(), Word{kOps});
+  const CombiningTreeStats st = tree.stats();
+  EXPECT_EQ(st.ops, kOps);
+  EXPECT_EQ(st.direct, kOps);
+  EXPECT_EQ(st.root_applies, kOps);
+  EXPECT_EQ(st.folds, 0u);
+}
+
+TEST(DirectPath, TreeWaiterBitSendsOpsUpTheTree) {
+  // The direct path fires only on an entirely clear root word: with a
+  // waiter marked, an op climbs (its leaf moves to generation 1), takes
+  // the root through lock_root — whose CAS clears the mark — and the
+  // next op is direct again.
+  MappingCombiningTree<AnyRmw> tree(8, 10);
+  Peer::mark_root_waiter(tree);
+  EXPECT_EQ(tree.fetch_rmw(0, AnyRmw(FetchAdd(1))), 10u);
+  EXPECT_NE(Peer::status(tree, 4), 0u);  // leaf of slot 0: climbed through
+  EXPECT_EQ(Peer::root_lock_word(tree), 0u);
+  EXPECT_EQ(tree.stats().direct, 0u);
+  EXPECT_EQ(tree.fetch_rmw(2, AnyRmw(FetchAdd(1))), 11u);
+  EXPECT_EQ(Peer::status(tree, 5), 0u);  // leaf of slot 2: untouched
+  const CombiningTreeStats st = tree.stats();
+  EXPECT_EQ(st.direct, 1u);
+  EXPECT_EQ(st.root_applies, 2u);
+  EXPECT_EQ(st.ops, 2u);
+}
+
+TEST(DirectPath, TreeReadAfterCompletedOpSeesOwnOp) {
+  // The tree twin of FlatCombinerConcurrent.ReadAfterCompletedOpSeesOwnOp:
+  // a monotone counter only grows, so a read() after a completed op must
+  // exceed that op's prior, whether the op went direct, applied a
+  // combined batch at the root, or was a second answered on the way down.
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kPer = 300;
+  MappingCombiningTree<AnyRmw> tree(kThreads, 0);
+  std::atomic<unsigned> stale{0};
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        for (unsigned i = 0; i < kPer; ++i) {
+          const Word prior = tree.fetch_rmw(t, AnyRmw(FetchAdd(1)));
+          if (tree.read() <= prior) stale.fetch_add(1);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(stale.load(), 0u);
+  EXPECT_EQ(tree.read(), Word{kThreads} * kPer);
+  const CombiningTreeStats st = tree.stats();
+  EXPECT_EQ(st.ops, std::uint64_t{kThreads} * kPer);
+  EXPECT_LE(st.direct, st.root_applies);
+}
+
+// Four threads, each alternating an add of 1 (low bits) with an or of its
+// own high bit. The tree declines the cross-family folds (§7), the flat
+// combiner batches them, and on both some ops go direct while others climb
+// or publish. The adds commute with the ors on disjoint bits, so their
+// priors masked to the low bits are the distinct tickets 0..N-1, monotone
+// per thread.
+template <typename B>
+void mixed_family_tickets(B b) {
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kPer = 400;
+  constexpr Word kOrBase = Word{1} << 48;
+  constexpr Word kLowMask = kOrBase - 1;
+  typename B::Cell cell(b, 0);
+  std::vector<std::vector<Word>> got(kThreads);
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        for (unsigned i = 0; i < kPer; ++i) {
+          got[t].push_back(b.fetch_add(cell, 1) & kLowMask);
+          (void)b.fetch_or(cell, kOrBase << t);
+        }
+      });
+    }
+  }
+  std::set<Word> all;
+  for (const auto& v : got) {
+    EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+    all.insert(v.begin(), v.end());
+  }
+  EXPECT_EQ(all.size(), std::size_t{kThreads} * kPer);
+  EXPECT_EQ(*all.begin(), 0u);
+  EXPECT_EQ(*all.rbegin(), Word{kThreads} * kPer - 1);
+  EXPECT_EQ(b.load(cell), Word{0xF} << 48 | Word{kThreads} * kPer);
+  const auto st = b.cell_stats(cell);
+  EXPECT_EQ(st.ops, std::uint64_t{2} * kThreads * kPer);
+  EXPECT_LE(st.direct, st.ops);
+}
+
+TEST(DirectPath, MixedFamilyTicketsCombining) {
+  mixed_family_tickets(CombiningBackend{4});
+}
+TEST(DirectPath, MixedFamilyTicketsFlat) {
+  mixed_family_tickets(FlatCombiningBackend{4});
 }
 
 // --- store-buffering litmus: the RmwBackend ordering contract ----------------

@@ -12,6 +12,9 @@
 //  * concurrent hotspot-counter invariants (distinct tickets, per-thread
 //    monotonicity, exact final sum) at 2/4/8 threads, plus quiesced
 //    stats accounting;
+//  * the direct path (DirectPath.*): an uncontended op publishes nothing
+//    and runs no pass, and a publisher that finds a direct op holding the
+//    lock is served by that op's release, also when it parks (FutexWait);
 //  * instrumented HB edges through FlatCombiningBackend (the same
 //    temporally-separated-ops experiment the other backends pass);
 //  * a race_explorer model of the publication handshake (claim → publish
@@ -91,6 +94,16 @@ struct FlatCombinerTestPeer {
   static bool pending(const FC& fc, unsigned slot) {
     return fc.slots_[slot].seq.load(std::memory_order_acquire) ==
            static_cast<std::uint32_t>(FC::kPending);
+  }
+  /// Has a publisher marked the held lock word as awaited?
+  template <typename FC>
+  static bool waiting(const FC& fc) {
+    return (fc.lock_.load(std::memory_order_acquire) & FC::kWaiting) != 0;
+  }
+  /// A direct op's release (the lock must be held).
+  template <typename FC>
+  static void unlock_direct(FC& fc) {
+    fc.unlock_direct();
   }
 };
 
@@ -279,11 +292,12 @@ TEST(FlatCombinerConcurrent, HotspotTicketsDistinctMonotoneComplete) {
     EXPECT_EQ(*all.rbegin(), static_cast<Word>(nt) * kPer - 1);
     EXPECT_EQ(fc.read(), static_cast<Word>(nt) * kPer);
     // Quiesced accounting: every op completed; peers can only ABSORB ops,
-    // and each election runs at least one scan pass.
+    // each election runs at least one scan pass, and an op ran either in
+    // some tenure or on the direct path.
     const FlatCombinerStats st = fc.stats();
     EXPECT_EQ(st.ops, static_cast<std::uint64_t>(nt) * kPer);
     EXPECT_LE(st.combined, st.ops);
-    EXPECT_GE(st.takeovers, 1u);
+    EXPECT_GE(st.takeovers + st.direct, 1u);
     EXPECT_GE(st.passes, st.takeovers);
     EXPECT_LE(st.handoffs, st.passes);
   }
@@ -336,9 +350,9 @@ TEST(FlatCombinerConcurrent, TightPassCapStillCompletesEveryOp) {
   const FlatCombinerStats st = fc.stats();
   EXPECT_EQ(st.ops, static_cast<std::uint64_t>(kThreads) * kPer);
   // Each tenure runs exactly one pass at this cap, and one pass serves at
-  // most slots() ops.
+  // most slots() ops; direct ops run in no pass.
   EXPECT_EQ(st.passes, st.takeovers);
-  EXPECT_GE(st.takeovers * fc.slots(), st.ops);
+  EXPECT_GE(st.takeovers * fc.slots() + st.direct, st.ops);
 }
 
 TEST(FlatCombinerConcurrent, SerializedUpdatesLinearizeWithBatches) {
@@ -363,6 +377,90 @@ TEST(FlatCombinerConcurrent, SerializedUpdatesLinearizeWithBatches) {
   const FlatCombinerStats st = fc.stats();
   EXPECT_EQ(st.ops, kPer);
   EXPECT_EQ(st.serialized_updates, kPer);
+}
+
+// --- the direct path ---------------------------------------------------------
+
+TEST(DirectPath, FlatUncontendedOpsSkipPublication) {
+  // One thread meets no one: every op finds the lock word clear and
+  // applies directly, so no slot is ever claimed or published (publishing
+  // fires the shared_store hook on the slot word) and no pass runs.
+  using HFc = FlatCombiner<HookInstrument>;
+  HFc fc(4, 0);
+  constexpr unsigned kOps = 100;
+  unsigned slot_traffic = 0;
+  const auto count_slots = [&](const void* addr) {
+    for (unsigned i = 0; i < fc.slots(); ++i) {
+      if (addr == fc.slot_address(i)) ++slot_traffic;
+    }
+  };
+  HookInstrument::on_shared_load = count_slots;
+  HookInstrument::on_shared_store = count_slots;
+  for (unsigned i = 0; i < kOps; ++i) {
+    EXPECT_EQ(fc.fetch_rmw(i % fc.slots(), AnyRmw(FetchAdd(1))), Word{i});
+  }
+  HookInstrument::on_shared_load = nullptr;
+  HookInstrument::on_shared_store = nullptr;
+  EXPECT_EQ(slot_traffic, 0u);
+  EXPECT_EQ(fc.read(), Word{kOps});
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.ops, kOps);
+  EXPECT_EQ(st.direct, kOps);
+  EXPECT_EQ(st.passes, 0u);
+  EXPECT_EQ(st.takeovers, 0u);
+  EXPECT_EQ(st.combined, 0u);
+}
+
+TEST(DirectPath, FlatFutexPublisherServedByDirectHolder) {
+  // A publisher that finds the lock held marks the word and parks on its
+  // slot; the holder's direct release must see the mark, serve one tenure
+  // and wake it. The main thread holds the lock in place of a direct op.
+  using FFc = FlatCombiner<NoInstrument, FutexWait>;
+  FFc fc(2, 0);
+  ASSERT_TRUE(Peer::lock(fc));
+  Word prior = ~Word{0};
+  std::jthread publisher([&] { prior = fc.fetch_rmw(1, AnyRmw(FetchAdd(5))); });
+  SpinYieldWait pol;
+  while (!(Peer::pending(fc, 1) && Peer::waiting(fc))) pol.pause();
+  Peer::unlock_direct(fc);
+  publisher.join();
+  EXPECT_EQ(prior, 0u);
+  EXPECT_EQ(fc.read(), 5u);
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.ops, 1u);
+  EXPECT_EQ(st.takeovers, 1u);  // the holder's tenure, not the publisher's
+  EXPECT_EQ(st.combined, 1u);
+  EXPECT_EQ(st.direct, 0u);
+}
+
+TEST(DirectPath, FlatFutexPublisherCompletesBesideDirectHammer) {
+  // One thread applies direct ops back to back; the other's ops must
+  // still complete — whenever it finds the hammer holding the lock, its
+  // mark makes the hammer serve it — with every op counted exactly.
+  FlatCombiner<NoInstrument, FutexWait> fc(2, 0);
+  constexpr unsigned kPer = 300;
+  constexpr Word kHigh = Word{1} << 32;
+  std::atomic<bool> stop{false};
+  std::uint64_t hammered = 0;
+  {
+    std::jthread hammer([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        (void)fc.fetch_rmw(0, AnyRmw(FetchAdd(1)));
+        ++hammered;
+      }
+    });
+    std::jthread other([&] {
+      for (unsigned i = 0; i < kPer; ++i) {
+        (void)fc.fetch_rmw(1, AnyRmw(FetchAdd(kHigh)));
+      }
+      stop.store(true, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(fc.read(), Word{hammered} + kPer * kHigh);
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.ops, hammered + kPer);
+  EXPECT_LE(st.direct, st.ops);
+  EXPECT_LE(st.combined, st.ops - st.direct);
 }
 
 // --- instrumented HB edges through the backend seam --------------------------

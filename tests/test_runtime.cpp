@@ -20,7 +20,7 @@
 #include "runtime/full_empty_cell.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/group_lock.hpp"
-#include "runtime/ticket_lock.hpp"
+#include "runtime/local_spin_locks.hpp"
 #include "runtime/tree_barrier.hpp"
 #include "runtime/wait_policy.hpp"
 
